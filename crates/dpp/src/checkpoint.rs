@@ -17,6 +17,12 @@
 //!   skips any partition it already consumed (dedup), which composes to
 //!   exactly-once.
 //!
+//! Cost model: the `ingested` set is held by the live handle in sorted,
+//! shared form ([`Arc`]`<`[`BTreeSet`]`>`), so a checkpoint copies one
+//! pointer and four counters — never the set itself, and without a sort.
+//! The set is copied only when a new partition is ingested while a
+//! checkpoint still holds it; a replayed duplicate copies nothing.
+//!
 //! The wire format is the same hand-rolled little-endian framing as
 //! [`recd_etl::checkpoint`]: magic, version, flat fields, and a
 //! trailing-bytes check on decode. Decode failures surface as the shared
@@ -24,6 +30,8 @@
 
 use recd_codec::{ByteReader, ByteWriter};
 use recd_etl::CheckpointError;
+use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// Magic prefix of a serialized DPP checkpoint (`"RDCK"`, little-endian) —
 /// distinct from the ETL checkpoint magic so the two blob kinds cannot be
@@ -49,8 +57,9 @@ pub struct DppCheckpoint {
     /// sequence.
     pub next_barrier_id: u64,
     /// Blob-store prefixes of every partition already ingested, sorted — the
-    /// dedup set that makes at-least-once replay exactly-once.
-    pub ingested: Vec<String>,
+    /// dedup set that makes at-least-once replay exactly-once. Shared with
+    /// the live handle.
+    pub ingested: Arc<BTreeSet<String>>,
 }
 
 impl DppCheckpoint {
@@ -64,7 +73,7 @@ impl DppCheckpoint {
         w.put_u64(self.duplicate_ingests);
         w.put_u64(self.next_barrier_id);
         w.put_usize(self.ingested.len());
-        for key in &self.ingested {
+        for key in self.ingested.iter() {
             w.put_str(key);
         }
         w.into_bytes()
@@ -91,9 +100,9 @@ impl DppCheckpoint {
         let duplicate_ingests = r.get_u64()?;
         let next_barrier_id = r.get_u64()?;
         let count = r.get_usize()?;
-        let mut ingested = Vec::with_capacity(count.min(1 << 16));
+        let mut ingested = BTreeSet::new();
         for _ in 0..count {
-            ingested.push(r.get_str()?);
+            ingested.insert(r.get_str()?);
         }
         if !r.is_exhausted() {
             return Err(CheckpointError::TrailingBytes {
@@ -105,7 +114,7 @@ impl DppCheckpoint {
             partitions_ingested,
             duplicate_ingests,
             next_barrier_id,
-            ingested,
+            ingested: Arc::new(ingested),
         })
     }
 }
@@ -120,11 +129,11 @@ mod tests {
             partitions_ingested: 7,
             duplicate_ingests: 2,
             next_barrier_id: 9,
-            ingested: vec![
+            ingested: Arc::new(BTreeSet::from([
                 "events/hour=11/".to_string(),
                 "events/hour=12/".to_string(),
                 "events/hour=13/".to_string(),
-            ],
+            ])),
         }
     }
 

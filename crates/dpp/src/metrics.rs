@@ -39,6 +39,11 @@ pub struct ServiceCounters {
     pub stored_sparse_values: AtomicU64,
     /// Stage errors (failed fills or conversions).
     pub errors: AtomicU64,
+    /// Checkpoints taken ([`DppHandle::checkpoint`](crate::DppHandle::checkpoint)
+    /// calls).
+    pub checkpoints: AtomicU64,
+    /// Wall time spent taking checkpoints, in nanoseconds.
+    pub checkpoint_nanos: AtomicU64,
     started: Instant,
 }
 
@@ -56,6 +61,8 @@ impl Default for ServiceCounters {
             logical_sparse_values: AtomicU64::new(0),
             stored_sparse_values: AtomicU64::new(0),
             errors: AtomicU64::new(0),
+            checkpoints: AtomicU64::new(0),
+            checkpoint_nanos: AtomicU64::new(0),
             started: Instant::now(),
         }
     }

@@ -10,6 +10,7 @@ use crate::metrics::{DppSnapshot, TrainerLaneSnapshot};
 use crate::pool::PoolStats;
 use crate::service::SnapshotSource;
 use recd_obs::{Collector, MetricsBuf};
+use std::sync::atomic::Ordering;
 
 /// Projects one pool's counters under a `pool=<name>` label.
 fn collect_pool(stats: &PoolStats, pool: &str, out: &mut MetricsBuf) {
@@ -206,6 +207,19 @@ pub fn collect_snapshot(snap: &DppSnapshot, out: &mut MetricsBuf) {
 impl Collector for SnapshotSource {
     fn collect(&self, out: &mut MetricsBuf) {
         collect_snapshot(&self.snapshot(), out);
+        let counters = &self.counters;
+        out.counter(
+            "recd_dpp_checkpoints_total",
+            "Checkpoints taken of the DPP feed state.",
+            &[],
+            counters.checkpoints.load(Ordering::Relaxed) as f64,
+        );
+        out.counter(
+            "recd_dpp_checkpoint_seconds_total",
+            "Wall time spent taking DPP checkpoints.",
+            &[],
+            counters.checkpoint_nanos.load(Ordering::Relaxed) as f64 / 1e9,
+        );
         out.histogram(
             "recd_dpp_convert_latency_seconds",
             "Per-batch IKJT conversion latency across compute workers.",

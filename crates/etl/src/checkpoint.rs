@@ -22,6 +22,25 @@
 //! trainer-batch union downstream — byte-identical to an uninterrupted run,
 //! which `crates/pipeline/tests/chaos.rs` asserts end to end.
 //!
+//! ## Cost model
+//!
+//! A checkpoint costs what changed since the last one, not what the service
+//! holds. Immutable payloads are shared with the live service through
+//! [`Arc`]:
+//!
+//! * open-hour rows ([`Sample`]s) and pending feature halves
+//!   ([`FeatureLog`]s) — one pointer per row, never a copy of the feature
+//!   vectors;
+//! * the landing record ([`EtlCheckpoint::landed`],
+//!   [`EtlCheckpoint::hour_seal_counts`]) — one pointer each.
+//!
+//! The snapshot copies only payload-free bookkeeping: the pending event
+//! halves, the watermark-bounded joined-id memory, the expiry heaps and the
+//! counters. Copies of shared state happen on change, and only while an
+//! older snapshot still holds it: a pending feature when it joins, an hour's
+//! rows when the hour seals, the landing record when a partition lands.
+//! Each row is copied at most once; nothing is copied per pump.
+//!
 //! The in-tree `serde` shim is derive-only (no real serialization), so the
 //! wire format is a hand-rolled flat little-endian codec over
 //! [`recd_codec::ByteWriter`] / [`recd_codec::ByteReader`], with a magic +
@@ -33,7 +52,9 @@ use crate::stream::{EtlCounters, SealReason, SealedPartition};
 use recd_codec::{ByteReader, ByteWriter, CodecError};
 use recd_data::{EventLog, FeatureLog, RequestId, Sample, SessionId, Timestamp};
 use recd_storage::{StorageReport, StoredPartition};
+use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Magic bytes prefixing every serialized checkpoint (`"RCKP"`).
 const MAGIC: u32 = u32::from_le_bytes(*b"RCKP");
@@ -103,8 +124,9 @@ impl From<CodecError> for CheckpointError {
 }
 
 /// One open hour's per-session clustering buffers: `(session, rows)` pairs
-/// in session order, each session keeping its rows in arrival order.
-pub(crate) type OpenHourSessions = Vec<(u64, Vec<Sample>)>;
+/// in session order, each session keeping its rows in arrival order. Rows
+/// are shared with the live stream, never copied by a snapshot.
+pub(crate) type OpenHourSessions = Vec<(u64, Vec<Arc<Sample>>)>;
 
 /// A faithful, serializable snapshot of an
 /// [`EtlStream`](crate::EtlStream)'s private state. Produced by
@@ -114,7 +136,7 @@ pub(crate) type OpenHourSessions = Vec<(u64, Vec<Sample>)>;
 /// deterministic.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct EtlStreamState {
-    pub(crate) pending_features: Vec<(u64, FeatureLog)>,
+    pub(crate) pending_features: Vec<(u64, Arc<FeatureLog>)>,
     pub(crate) pending_events: Vec<(u64, EventLog)>,
     pub(crate) joined: Vec<(u64, u64)>,
     pub(crate) feature_expiry: Vec<(u64, u64)>,
@@ -141,11 +163,12 @@ pub struct EtlCheckpoint {
     pub tail_cursor: usize,
     /// The join/clustering state machine's full state.
     pub stream: EtlStreamState,
-    /// `(hour, seals)` pairs in hour order — drives re-seal `-r<N>` table
-    /// suffixes after resume.
-    pub hour_seal_counts: Vec<(u64, u64)>,
-    /// Every partition landed before the checkpoint, in land order.
-    pub landed: Vec<StoredPartition>,
+    /// Seals per hour bucket — drives re-seal `-r<N>` table suffixes after
+    /// resume. Shared with the live service.
+    pub hour_seal_counts: Arc<BTreeMap<u64, u64>>,
+    /// Every partition landed before the checkpoint, in land order. Shared
+    /// with the live service.
+    pub landed: Arc<Vec<StoredPartition>>,
     /// Storage accounting accumulated across the landed partitions.
     pub storage: StorageReport,
     /// Peak observed tail lag (ms) before the checkpoint.
@@ -161,12 +184,12 @@ impl EtlCheckpoint {
         w.put_usize(self.tail_cursor);
         put_stream_state(&mut w, &self.stream);
         w.put_usize(self.hour_seal_counts.len());
-        for &(hour, seals) in &self.hour_seal_counts {
+        for (&hour, &seals) in self.hour_seal_counts.iter() {
             w.put_u64(hour);
             w.put_u64(seals);
         }
         w.put_usize(self.landed.len());
-        for stored in &self.landed {
+        for stored in self.landed.iter() {
             put_stored_partition(&mut w, stored);
         }
         put_storage_report(&mut w, &self.storage);
@@ -194,9 +217,9 @@ impl EtlCheckpoint {
         }
         let tail_cursor = r.get_usize()?;
         let stream = get_stream_state(&mut r)?;
-        let mut hour_seal_counts = Vec::with_capacity(r.remaining().min(64));
+        let mut hour_seal_counts = BTreeMap::new();
         for _ in 0..r.get_usize()? {
-            hour_seal_counts.push((r.get_u64()?, r.get_u64()?));
+            hour_seal_counts.insert(r.get_u64()?, r.get_u64()?);
         }
         let landed_len = r.get_usize()?;
         let mut landed = Vec::with_capacity(landed_len.min(1 + r.remaining() / 8));
@@ -213,8 +236,8 @@ impl EtlCheckpoint {
         Ok(Self {
             tail_cursor,
             stream,
-            hour_seal_counts,
-            landed,
+            hour_seal_counts: Arc::new(hour_seal_counts),
+            landed: Arc::new(landed),
             storage,
             peak_tail_lag_ms,
         })
@@ -433,7 +456,7 @@ fn put_stream_state(w: &mut ByteWriter, state: &EtlStreamState) {
 fn get_stream_state(r: &mut ByteReader<'_>) -> Result<EtlStreamState, CheckpointError> {
     let mut pending_features = Vec::new();
     for _ in 0..r.get_usize()? {
-        pending_features.push((r.get_u64()?, get_feature(r)?));
+        pending_features.push((r.get_u64()?, Arc::new(get_feature(r)?)));
     }
     let mut pending_events = Vec::new();
     for _ in 0..r.get_usize()? {
@@ -452,7 +475,7 @@ fn get_stream_state(r: &mut ByteReader<'_>) -> Result<EtlStreamState, Checkpoint
             let row_count = r.get_usize()?;
             let mut rows = Vec::with_capacity(row_count.min(1 + r.remaining() / 32));
             for _ in 0..row_count {
-                rows.push(get_sample(r)?);
+                rows.push(Arc::new(get_sample(r)?));
             }
             sessions.push((session, rows));
         }
@@ -545,13 +568,13 @@ mod tests {
             stream: EtlStreamState {
                 pending_features: vec![(
                     3,
-                    FeatureLog {
+                    Arc::new(FeatureLog {
                         request_id: RequestId::new(3),
                         session_id: SessionId::new(30),
                         timestamp: Timestamp::from_millis(5_000),
                         dense: vec![0.25],
                         sparse: vec![vec![9, 9, 9]],
-                    },
+                    }),
                 )],
                 pending_events: vec![(
                     4,
@@ -569,8 +592,8 @@ mod tests {
                 open_hours: vec![(
                     0,
                     vec![
-                        (30, vec![sample(30, 1, 1_000)]),
-                        (40, vec![sample(40, 2, 2_000)]),
+                        (30, vec![Arc::new(sample(30, 1, 1_000))]),
+                        (40, vec![Arc::new(sample(40, 2, 2_000))]),
                     ],
                 )],
                 sealed: vec![SealedPartition {
@@ -592,12 +615,12 @@ mod tests {
                     ..EtlCounters::default()
                 },
             },
-            hour_seal_counts: vec![(0, 1), (7, 2)],
-            landed: vec![StoredPartition {
+            hour_seal_counts: Arc::new(BTreeMap::from([(0, 1), (7, 2)])),
+            landed: Arc::new(vec![StoredPartition {
                 table: "tiny".into(),
                 hour: 0,
                 files: vec!["tiny/hour=0/file-00000.dwrf".into()],
-            }],
+            }]),
             storage: StorageReport {
                 files: 1,
                 stripes: 2,
@@ -618,6 +641,17 @@ mod tests {
         assert_eq!(back, checkpoint);
         // Re-encoding the decoded checkpoint must reproduce the same bytes.
         assert_eq!(back.to_bytes(), bytes);
+    }
+
+    #[test]
+    fn wire_format_is_pinned() {
+        // FNV-1a of the fixture's encoding, recorded before checkpoints
+        // shared their payloads: sharing must not change a single byte.
+        let bytes = populated_checkpoint().to_bytes();
+        let fnv = bytes.iter().fold(0xcbf2_9ce4_8422_2325_u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+        });
+        assert_eq!((bytes.len(), fnv), (972, 0xdc8f_1b92_11b2_4299));
     }
 
     #[test]

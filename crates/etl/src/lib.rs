@@ -38,7 +38,7 @@ pub use stream::{
     EtlStream, EtlStreamConfig, ManualClock, SealReason, SealedPartition,
 };
 
-use recd_data::{LogRecord, Schema};
+use recd_data::{LogRecord, Sample, Schema};
 
 /// Table layout produced by the ETL stage.
 #[derive(
@@ -51,6 +51,19 @@ pub enum TableLayout {
     /// RecD O2: rows clustered by session id, sorted by timestamp within a
     /// session.
     ClusteredBySession,
+}
+
+impl TableLayout {
+    /// Orders rows in place into this layout — the one ordering both the
+    /// batch [`EtlJob`] and the streaming seal use, so the two paths cannot
+    /// drift apart. [`interleave_by_time`] / [`cluster_by_session`] are the
+    /// copying forms of the same sorts.
+    pub(crate) fn arrange(self, samples: &mut [Sample]) {
+        match self {
+            TableLayout::TimeOrdered => partition::sort_by_time(samples),
+            TableLayout::ClusteredBySession => partition::sort_by_session(samples),
+        }
+    }
 }
 
 /// End-to-end ETL driver: join, partition, and lay out rows.
@@ -91,10 +104,7 @@ impl EtlJob {
         }
         let mut partitions = HourlyPartitioner::partition(samples);
         for partition in &mut partitions {
-            partition.samples = match self.layout {
-                TableLayout::TimeOrdered => interleave_by_time(&partition.samples),
-                TableLayout::ClusteredBySession => cluster_by_session(&partition.samples),
-            };
+            self.layout.arrange(&mut partition.samples);
             debug_assert!(partition
                 .samples
                 .iter()

@@ -58,7 +58,7 @@ impl HourlyPartitioner {
 /// Baseline row layout: order rows by inference time (sessions interleave).
 pub fn interleave_by_time(samples: &[Sample]) -> Vec<Sample> {
     let mut out = samples.to_vec();
-    out.sort_by_key(|s| (s.timestamp, s.request_id));
+    sort_by_time(&mut out);
     out
 }
 
@@ -67,15 +67,28 @@ pub fn interleave_by_time(samples: &[Sample]) -> Vec<Sample> {
 /// Sessions themselves are ordered by their first timestamp so the partition
 /// remains roughly chronological.
 pub fn cluster_by_session(samples: &[Sample]) -> Vec<Sample> {
+    let mut out = samples.to_vec();
+    sort_by_session(&mut out);
+    out
+}
+
+/// The in-place ordering behind [`interleave_by_time`]. Stable, so rows
+/// with equal keys keep their input order.
+pub(crate) fn sort_by_time(samples: &mut [Sample]) {
+    samples.sort_by_key(|s| (s.timestamp, s.request_id));
+}
+
+/// The in-place ordering behind [`cluster_by_session`]. Stable, so rows
+/// with equal keys keep their input order.
+pub(crate) fn sort_by_session(samples: &mut [Sample]) {
     let mut first_seen: BTreeMap<u64, u64> = BTreeMap::new();
-    for s in samples {
+    for s in samples.iter() {
         let entry = first_seen
             .entry(s.session_id.raw())
             .or_insert(s.timestamp.as_millis());
         *entry = (*entry).min(s.timestamp.as_millis());
     }
-    let mut out = samples.to_vec();
-    out.sort_by_key(|s| {
+    samples.sort_by_key(|s| {
         (
             first_seen[&s.session_id.raw()],
             s.session_id,
@@ -83,7 +96,6 @@ pub fn cluster_by_session(samples: &[Sample]) -> Vec<Sample> {
             s.request_id,
         )
     });
-    out
 }
 
 #[cfg(test)]

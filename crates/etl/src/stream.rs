@@ -62,6 +62,7 @@ use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Configuration of an [`EtlStream`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -229,16 +230,19 @@ pub struct EtlReport {
     pub final_watermark_ms: u64,
 }
 
-/// Per-session rolling clustering buffer inside one open hour.
+/// Per-session rolling clustering buffer inside one open hour. Rows are
+/// immutable once joined and held behind [`Arc`], so a checkpoint shares
+/// them with the live buffer instead of copying feature vectors.
 #[derive(Debug, Default)]
 struct SessionBuf {
-    rows: Vec<Sample>,
+    rows: Vec<Arc<Sample>>,
 }
 
-/// One open (not yet sealed) hour bucket.
+/// One open (not yet sealed) hour bucket. Sessions are kept in id order,
+/// which is the order a checkpoint records them in.
 #[derive(Debug, Default)]
 struct OpenHour {
-    sessions: HashMap<u64, SessionBuf>,
+    sessions: BTreeMap<u64, SessionBuf>,
     rows: usize,
 }
 
@@ -248,7 +252,7 @@ impl OpenHour {
             .entry(sample.session_id.raw())
             .or_default()
             .rows
-            .push(sample);
+            .push(Arc::new(sample));
         self.rows += 1;
     }
 }
@@ -260,7 +264,9 @@ impl OpenHour {
 #[derive(Debug)]
 pub struct EtlStream {
     config: EtlStreamConfig,
-    pending_features: HashMap<u64, FeatureLog>,
+    /// Feature halves waiting for their event, shared with checkpoints the
+    /// same way open-hour rows are.
+    pending_features: HashMap<u64, Arc<FeatureLog>>,
     pending_events: HashMap<u64, EventLog>,
     /// Request ids already joined, kept (watermark-bounded) to detect
     /// post-join duplicates.
@@ -338,7 +344,7 @@ impl EtlStream {
                     self.join(feature, &event);
                 } else {
                     self.feature_expiry.push(Reverse((ts, request)));
-                    self.pending_features.insert(request, feature);
+                    self.pending_features.insert(request, Arc::new(feature));
                 }
             }
             LogRecord::Event(event) => {
@@ -346,7 +352,9 @@ impl EtlStream {
                 {
                     self.counters.duplicates += 1;
                 } else if let Some(feature) = self.pending_features.remove(&request) {
-                    self.join(feature, &event);
+                    // Moves the feature vectors unless a checkpoint still
+                    // holds this pending half.
+                    self.join(Arc::unwrap_or_clone(feature), &event);
                 } else {
                     self.event_expiry.push(Reverse((ts, request)));
                     self.pending_events.insert(request, event);
@@ -432,6 +440,13 @@ impl EtlStream {
     /// [`EtlStream::restore`] to rebuild an equivalent stream — the restored
     /// copy behaves identically record-for-record, which the checkpoint
     /// tests assert.
+    ///
+    /// Cost model: the snapshot *shares* every buffered row and pending
+    /// feature half with the live stream (one [`Arc`] pointer each) and
+    /// copies only payload-free bookkeeping (pending events, the
+    /// watermark-bounded join-id memory, expiry heaps, counters). Feature vectors are never copied here. A row is
+    /// copied at most once, when its hour seals while an older snapshot
+    /// still holds it; a pending feature likewise when it joins.
     pub fn checkpoint(&self) -> EtlStreamState {
         fn sorted_pairs<V: Clone>(map: &HashMap<u64, V>) -> Vec<(u64, V)> {
             let mut pairs: Vec<_> = map.iter().map(|(&k, v)| (k, v.clone())).collect();
@@ -449,12 +464,11 @@ impl EtlStream {
             .open_hours
             .iter()
             .map(|(&hour, open)| {
-                let mut sessions: Vec<_> = open
+                let sessions = open
                     .sessions
                     .iter()
                     .map(|(&session, buf)| (session, buf.rows.clone()))
                     .collect();
-                sessions.sort_by_key(|(session, _)| *session);
                 (hour, sessions)
             })
             .collect();
@@ -476,7 +490,8 @@ impl EtlStream {
 
     /// Rebuilds a stream from a checkpointed [`EtlStreamState`]. The restored
     /// stream is behaviorally identical to the one that produced the state:
-    /// same joins, same evictions, same seals, same counters.
+    /// same joins, same evictions, same seals, same counters. Rows and
+    /// pending features stay shared with any other copy of `state`.
     pub fn restore(config: EtlStreamConfig, state: EtlStreamState) -> Self {
         let mut open_hours: BTreeMap<u64, OpenHour> = BTreeMap::new();
         for (hour, sessions) in state.open_hours {
@@ -574,21 +589,19 @@ impl EtlStream {
         }
     }
 
-    /// Lays out one hour's buffers and queues the sealed partition. Final
-    /// ordering is delegated to the *same* layout functions the batch path
-    /// uses ([`cluster_by_session`](crate::cluster_by_session) /
+    /// Lays out one hour's buffers and queues the sealed partition. Rows
+    /// are moved out of their shared handles — copied only if an older
+    /// checkpoint still holds them — and ordered in place by the *same*
+    /// [`TableLayout`] sort the batch path uses
+    /// ([`cluster_by_session`](crate::cluster_by_session) /
     /// [`interleave_by_time`](crate::interleave_by_time)), so the two paths
-    /// cannot drift apart; the per-session buffers feed them a
-    /// session-grouped collection order.
+    /// cannot drift apart.
     fn seal(&mut self, hour: u64, open: OpenHour, reason: SealReason) {
-        let mut collected = Vec::with_capacity(open.rows);
+        let mut samples = Vec::with_capacity(open.rows);
         for buf in open.sessions.into_values() {
-            collected.extend(buf.rows);
+            samples.extend(buf.rows.into_iter().map(Arc::unwrap_or_clone));
         }
-        let samples = match self.config.layout {
-            TableLayout::ClusteredBySession => crate::cluster_by_session(&collected),
-            TableLayout::TimeOrdered => crate::interleave_by_time(&collected),
-        };
+        self.config.layout.arrange(&mut samples);
         self.buffered_rows -= samples.len();
         self.counters.sealed_partitions += 1;
         self.counters.sealed_rows += samples.len() as u64;
@@ -661,6 +674,10 @@ pub struct EtlGauges {
     pub tail_lag_ms: AtomicU64,
     /// Tail events not yet arrived.
     pub tail_remaining: AtomicU64,
+    /// Checkpoints taken ([`EtlService::checkpoint`] calls).
+    pub checkpoints: AtomicU64,
+    /// Wall time spent taking checkpoints, in nanoseconds.
+    pub checkpoint_nanos: AtomicU64,
 }
 
 impl recd_obs::Collector for EtlGauges {
@@ -744,6 +761,18 @@ impl recd_obs::Collector for EtlGauges {
             &[],
             load(&self.tail_remaining),
         );
+        out.counter(
+            "recd_etl_checkpoints_total",
+            "Checkpoints taken of the streaming ETL service.",
+            &[],
+            load(&self.checkpoints),
+        );
+        out.counter(
+            "recd_etl_checkpoint_seconds_total",
+            "Wall time spent taking ETL checkpoints.",
+            &[],
+            load(&self.checkpoint_nanos) / 1e9,
+        );
     }
 }
 
@@ -781,8 +810,12 @@ pub struct EtlService {
     store: Arc<TableStore>,
     schema: Schema,
     table: String,
-    hour_seal_counts: HashMap<u64, u64>,
-    landed: Vec<StoredPartition>,
+    /// Seals per hour bucket, shared with checkpoints and copied only when
+    /// a partition lands while a checkpoint still holds the map.
+    hour_seal_counts: Arc<BTreeMap<u64, u64>>,
+    /// Every landed partition, in land order; shared and copied like
+    /// `hour_seal_counts`.
+    landed: Arc<Vec<StoredPartition>>,
     storage: StorageReport,
     gauges: Arc<EtlGauges>,
     peak_tail_lag_ms: u64,
@@ -807,8 +840,8 @@ impl EtlService {
             store,
             schema,
             table: table.into(),
-            hour_seal_counts: HashMap::new(),
-            landed: Vec::new(),
+            hour_seal_counts: Arc::default(),
+            landed: Arc::default(),
             storage: StorageReport::default(),
             gauges: Arc::new(EtlGauges::default()),
             peak_tail_lag_ms: 0,
@@ -840,7 +873,7 @@ impl EtlService {
             store,
             schema,
             table: table.into(),
-            hour_seal_counts: checkpoint.hour_seal_counts.into_iter().collect(),
+            hour_seal_counts: checkpoint.hour_seal_counts,
             landed: checkpoint.landed,
             storage: checkpoint.storage,
             gauges: Arc::new(EtlGauges::default()),
@@ -864,21 +897,30 @@ impl EtlService {
     /// by every pump, so the snapshot's in-flight window is empty and a
     /// [`EtlService::resume_from`] replay converges to the uninterrupted
     /// run's exact output.
+    ///
+    /// Cost model: the snapshot shares state instead of copying it. Open-hour
+    /// rows and pending feature halves are shared per row (see
+    /// [`EtlStream::checkpoint`]); the landing record (`landed`,
+    /// `hour_seal_counts`) is shared whole. Copies happen when state
+    /// changes — a pending feature joins, an hour seals, a partition lands —
+    /// and only for what a still-held snapshot references; never once per
+    /// checkpoint. Each call is counted in the `recd_etl_checkpoints_total`
+    /// and `recd_etl_checkpoint_seconds_total` metrics.
     pub fn checkpoint(&self) -> EtlCheckpoint {
-        let mut hour_seal_counts: Vec<_> = self
-            .hour_seal_counts
-            .iter()
-            .map(|(&h, &c)| (h, c))
-            .collect();
-        hour_seal_counts.sort_unstable();
-        EtlCheckpoint {
+        let started = Instant::now();
+        let checkpoint = EtlCheckpoint {
             tail_cursor: self.tail.cursor(),
             stream: self.stream.checkpoint(),
-            hour_seal_counts,
-            landed: self.landed.clone(),
+            hour_seal_counts: Arc::clone(&self.hour_seal_counts),
+            landed: Arc::clone(&self.landed),
             storage: self.storage.clone(),
             peak_tail_lag_ms: self.peak_tail_lag_ms,
-        }
+        };
+        self.gauges.checkpoints.fetch_add(1, Ordering::Relaxed);
+        self.gauges
+            .checkpoint_nanos
+            .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        checkpoint
     }
 
     /// Shared live gauges — hand a clone to a monitoring thread.
@@ -936,7 +978,7 @@ impl EtlService {
             peak_tail_lag_ms: self.peak_tail_lag_ms,
         };
         EtlServiceOutput {
-            landed: self.landed,
+            landed: Arc::unwrap_or_clone(self.landed),
             report,
         }
     }
@@ -966,7 +1008,9 @@ impl EtlService {
         let mut landed = 0usize;
         for sealed in self.stream.drain_sealed() {
             let hour = sealed.partition.hour;
-            let seal_idx = self.hour_seal_counts.entry(hour).or_insert(0);
+            let seal_idx = Arc::make_mut(&mut self.hour_seal_counts)
+                .entry(hour)
+                .or_insert(0);
             let table = if *seal_idx == 0 {
                 self.table.clone()
             } else {
@@ -1002,7 +1046,7 @@ impl EtlService {
             };
             self.storage.absorb(&report);
             sink(&stored, &sealed.partition);
-            self.landed.push(stored);
+            Arc::make_mut(&mut self.landed).push(stored);
             landed += 1;
         }
         landed
@@ -1188,6 +1232,133 @@ mod tests {
                 + c.orphaned_events
                 + c.downsampled
         );
+    }
+
+    /// Pushes six joined rows over two sessions of hour 0 plus one feature
+    /// half that stays pending.
+    fn stream_with_open_rows() -> EtlStream {
+        let mut stream = EtlStream::new(config());
+        for request in 0..6u64 {
+            stream.push(feature(request, request % 2, 1_000 + request));
+            stream.push(event(request, request % 2, 1_500 + request, 1.0));
+        }
+        stream.push(feature(99, 7, 2_000));
+        stream
+    }
+
+    fn live_rows(stream: &EtlStream) -> Vec<&Arc<Sample>> {
+        stream
+            .open_hours
+            .values()
+            .flat_map(|open| open.sessions.values())
+            .flat_map(|buf| buf.rows.iter())
+            .collect()
+    }
+
+    /// Heap addresses of the rows' dense feature buffers: a moved sample
+    /// keeps its buffer, a cloned one gets a fresh allocation.
+    fn dense_buffers<'a>(rows: impl IntoIterator<Item = &'a Sample>) -> Vec<usize> {
+        rows.into_iter()
+            .map(|row| row.dense.as_ptr() as usize)
+            .collect()
+    }
+
+    #[test]
+    fn checkpoint_shares_open_rows_and_pending_features() {
+        let stream = stream_with_open_rows();
+        let state = stream.checkpoint();
+        let held: Vec<&Arc<Sample>> = state
+            .open_hours
+            .iter()
+            .flat_map(|(_, sessions)| sessions.iter())
+            .flat_map(|(_, rows)| rows.iter())
+            .collect();
+        let live = live_rows(&stream);
+        assert_eq!(live.len(), 6);
+        assert_eq!(held.len(), live.len());
+        assert!(held.iter().zip(&live).all(|(a, b)| Arc::ptr_eq(a, b)));
+        // Exactly two owners per row: the live buffer and the snapshot.
+        assert!(live.iter().all(|row| Arc::strong_count(row) == 2));
+        assert_eq!(state.pending_features.len(), 1);
+        assert!(Arc::ptr_eq(
+            &state.pending_features[0].1,
+            &stream.pending_features[&99]
+        ));
+    }
+
+    #[test]
+    fn seal_moves_unshared_rows_and_copies_only_held_ones() {
+        // No snapshot outstanding: every row moves into the sealed
+        // partition without a copy.
+        let mut stream = stream_with_open_rows();
+        let rows = live_rows(&stream);
+        assert!(rows.iter().all(|row| Arc::strong_count(row) == 1));
+        let before = dense_buffers(rows.into_iter().map(|row| &**row));
+        stream.finish();
+        let sealed = stream.drain_sealed();
+        let after = dense_buffers(&sealed[0].partition.samples);
+        assert_eq!(after.len(), 6);
+        assert_eq!(after.iter().filter(|p| before.contains(p)).count(), 6);
+
+        // A held snapshot: the seal copies its rows, and the snapshot stays
+        // the sole owner of the originals, unchanged.
+        let mut stream = stream_with_open_rows();
+        let held = stream.checkpoint();
+        let held_copy = held.clone();
+        let before = dense_buffers(live_rows(&stream).into_iter().map(|row| &**row));
+        stream.finish();
+        let sealed = stream.drain_sealed();
+        let after = dense_buffers(&sealed[0].partition.samples);
+        assert_eq!(after.iter().filter(|p| before.contains(p)).count(), 0);
+        assert_eq!(held, held_copy);
+        let held_rows: Vec<&Arc<Sample>> = held
+            .open_hours
+            .iter()
+            .flat_map(|(_, sessions)| sessions.iter())
+            .flat_map(|(_, rows)| rows.iter())
+            .collect();
+        // Two owners left: `held` and its clone, which shares the rows too.
+        assert!(held_rows.iter().all(|row| Arc::strong_count(row) == 2));
+    }
+
+    #[test]
+    fn service_checkpoint_shares_the_landing_record_until_a_partition_lands() {
+        use recd_datagen::{DatasetGenerator, WorkloadConfig, WorkloadPreset};
+        use recd_scribe::TailConfig;
+        use recd_storage::TectonicSim;
+
+        let generator = DatasetGenerator::new(WorkloadConfig::preset(WorkloadPreset::Tiny));
+        let (records, _) = generator.generate_logs();
+        let store = Arc::new(TableStore::new(TectonicSim::new(4), 32, 2));
+        let mut service = EtlService::new(
+            LogTail::new(records, &TailConfig::default()),
+            EtlStreamConfig::new(TableLayout::ClusteredBySession),
+            store,
+            generator.schema().clone(),
+            "t",
+        );
+        let mut clock = ManualClock::new();
+        let mut pump_until_a_land = |service: &mut EtlService| {
+            while service.pump(clock.advance(60_000), &mut |_, _| {}) == 0 {
+                assert!(!service.tail_drained(), "no partition landed");
+            }
+        };
+        pump_until_a_land(&mut service);
+        let first = service.checkpoint();
+        let second = service.checkpoint();
+        assert!(Arc::ptr_eq(&first.landed, &second.landed));
+        assert!(Arc::ptr_eq(
+            &first.hour_seal_counts,
+            &second.hour_seal_counts
+        ));
+
+        // A landing copies the record once; the held snapshots keep theirs.
+        pump_until_a_land(&mut service);
+        let third = service.checkpoint();
+        assert!(!Arc::ptr_eq(&first.landed, &third.landed));
+        assert!(third.landed.len() > first.landed.len());
+        assert_eq!(first.landed.len(), 1);
+        assert_eq!(service.gauges().checkpoints.load(Ordering::Relaxed), 3);
     }
 
     #[test]

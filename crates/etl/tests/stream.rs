@@ -684,3 +684,118 @@ fn crash_restart_mid_hour_resumes_byte_identically() {
         );
     }
 }
+
+/// Checkpoints share buffered rows, pending join halves and the landing
+/// record with the live service instead of copying them. A checkpoint held
+/// across later pumps — further joins, seals and landings, each pump taking
+/// its own checkpoint, as the exactly-once feed loop does — must still be
+/// exactly the state it captured: it encodes to the same bytes, and
+/// resuming from the in-memory value (not only the decoded bytes) converges
+/// to the uninterrupted run byte for byte.
+#[test]
+fn held_checkpoint_is_isolated_from_later_pumps() {
+    let seed = 5151u64;
+    for layout in [TableLayout::TimeOrdered, TableLayout::ClusteredBySession] {
+        let generator =
+            DatasetGenerator::new(WorkloadConfig::preset(WorkloadPreset::Tiny).with_seed(seed));
+        let (records, _) = generator.generate_logs();
+        let schema = generator.schema().clone();
+        let tail_config = TailConfig::default()
+            .with_jitter_ms(2_000)
+            .with_seed(seed ^ 0x5EED);
+
+        let ref_store = fresh_store();
+        let (sealed_ref, landed_ref, output_ref) = run_stream(
+            records.clone(),
+            layout,
+            &tail_config,
+            10_000,
+            777,
+            Arc::clone(&ref_store),
+            schema.clone(),
+        );
+
+        let store = fresh_store();
+        let config = EtlStreamConfig::new(layout).with_window_ms(10_000);
+        let tail = LogTail::new(records.clone(), &tail_config);
+        let hold_at = tail.end_ms() / 3;
+        let mut service = EtlService::new(tail, config, Arc::clone(&store), schema.clone(), "t");
+        let mut clock = ManualClock::new();
+        let mut sealed: Vec<TablePartition> = Vec::new();
+        let mut sink = |partition: &TablePartition| sealed.push(partition.clone());
+        // Hold a checkpoint mid-hour, at a pump boundary where both open-hour
+        // rows and pending feature halves are buffered (shared).
+        let mut latest = service.checkpoint();
+        loop {
+            let snap = service.snapshot();
+            if clock.now_ms() >= hold_at && snap.buffered_rows > 0 && snap.pending_features > 0 {
+                break;
+            }
+            assert!(!service.tail_drained(), "no mid-hour hold point found");
+            service.pump(
+                clock.advance(777),
+                &mut |_: &StoredPartition, p: &TablePartition| sink(p),
+            );
+            latest = service.checkpoint();
+        }
+        let held = latest;
+        let held_bytes = held.to_bytes();
+        let held_snapshot = service.snapshot();
+        let mut resumed_clock = clock;
+
+        // The live service keeps going, checkpointing after every pump.
+        let mut retained = service.checkpoint();
+        while !service.tail_drained() {
+            service.pump(
+                clock.advance(777),
+                &mut |_: &StoredPartition, p: &TablePartition| sink(p),
+            );
+            retained = service.checkpoint();
+        }
+        drop(retained);
+        let live = service.finish(&mut |_: &StoredPartition, p: &TablePartition| sink(p));
+        let later = live.report.etl.counters;
+        assert!(
+            later.joined_samples > held_snapshot.counters.joined_samples
+                && later.sealed_partitions > held_snapshot.counters.sealed_partitions,
+            "the live run must join and seal past the held checkpoint"
+        );
+        assert_eq!(sealed, sealed_ref, "live run diverged at layout {layout:?}");
+        assert_eq!(
+            held.to_bytes(),
+            held_bytes,
+            "a later pump leaked into the held checkpoint at layout {layout:?}"
+        );
+
+        // Resume from a clone of the held value, so the resumed service and
+        // `held` share state the whole way through.
+        let resumed_sealed_from = held_snapshot.counters.sealed_partitions as usize;
+        let mut resumed_sealed = sealed_ref[..resumed_sealed_from].to_vec();
+        let tail = LogTail::new(records, &tail_config);
+        let mut service =
+            EtlService::resume_from(tail, config, Arc::clone(&store), schema, "t", held.clone());
+        assert_eq!(service.snapshot(), held_snapshot);
+        let mut resumed_sink = |p: &TablePartition| resumed_sealed.push(p.clone());
+        while !service.tail_drained() {
+            let now = resumed_clock.advance(777);
+            service.pump(now, &mut |_: &StoredPartition, p: &TablePartition| {
+                resumed_sink(p)
+            });
+        }
+        let output = service.finish(&mut |_: &StoredPartition, p: &TablePartition| resumed_sink(p));
+
+        assert_eq!(resumed_sealed, sealed_ref, "layout {layout:?}");
+        assert_eq!(output.landed, landed_ref, "layout {layout:?}");
+        assert_eq!(output.report, output_ref.report, "layout {layout:?}");
+        assert_eq!(
+            blob_bytes(&store, &output.landed),
+            blob_bytes(&ref_store, &landed_ref),
+            "landed DWRF bytes diverged after resuming a held checkpoint at layout {layout:?}"
+        );
+        assert_eq!(
+            held.to_bytes(),
+            held_bytes,
+            "the resumed service leaked into the held checkpoint at layout {layout:?}"
+        );
+    }
+}

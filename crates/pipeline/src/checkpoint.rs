@@ -79,13 +79,15 @@ impl PipelineCheckpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::{BTreeMap, BTreeSet};
+    use std::sync::Arc;
 
     fn fixture() -> PipelineCheckpoint {
         PipelineCheckpoint {
             etl: EtlCheckpoint {
                 tail_cursor: 12,
                 peak_tail_lag_ms: 4_200,
-                hour_seal_counts: vec![(0, 1), (1, 1)],
+                hour_seal_counts: Arc::new(BTreeMap::from([(0, 1), (1, 1)])),
                 ..EtlCheckpoint::default()
             },
             dpp: DppCheckpoint {
@@ -93,7 +95,7 @@ mod tests {
                 partitions_ingested: 2,
                 duplicate_ingests: 0,
                 next_barrier_id: 3,
-                ingested: vec!["rm1/hour=0/".into(), "rm1/hour=1/".into()],
+                ingested: Arc::new(BTreeSet::from(["rm1/hour=0/".into(), "rm1/hour=1/".into()])),
             },
         }
     }

@@ -7,10 +7,10 @@ use recd::core::DataLoaderConfig;
 use recd::datagen::{DatasetGenerator, WorkloadConfig, WorkloadPreset};
 use recd::dpp::{DppConfig, DppService};
 use recd::etl::{EtlService, EtlStreamConfig, ManualClock, TableLayout};
-use recd::obs::{scrape, Collector, MetricsRegistry, MetricsServer};
+use recd::obs::{sample_value, scrape, Collector, MetricsRegistry, MetricsServer};
 use recd::reader::{PreprocessPipeline, ReaderConfig};
 use recd::scribe::{LogTail, TailConfig};
-use recd::storage::{TableStore, TectonicSim};
+use recd::storage::{StoredPartition, TableStore, TectonicSim};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -21,10 +21,14 @@ const REQUIRED_FAMILIES: &[(&str, &str)] = &[
     ("etl", "recd_etl_records_tailed_total"),
     ("etl", "recd_etl_landed_partitions_total"),
     ("etl", "recd_etl_tail_lag_ms"),
+    ("etl", "recd_etl_checkpoints_total"),
+    ("etl", "recd_etl_checkpoint_seconds_total"),
     // DPP service tier.
     ("dpp service", "recd_dpp_samples_out_total"),
     ("dpp service", "recd_dpp_queue_depth"),
     ("dpp service", "recd_dpp_workers_live"),
+    ("dpp service", "recd_dpp_checkpoints_total"),
+    ("dpp service", "recd_dpp_checkpoint_seconds_total"),
     // Batch pool tier.
     ("batch pool", "recd_dpp_pool_acquires_total"),
     ("batch pool", "recd_dpp_pool_capacity"),
@@ -38,6 +42,15 @@ const REQUIRED_FAMILIES: &[(&str, &str)] = &[
     ("reader", "recd_reader_phase_cpu_seconds_total"),
     // The server's self-instrumentation.
     ("obs", "recd_obs_scrapes_total"),
+];
+
+/// Checkpoint-cost series of both tiers: they must be present after every
+/// pump and never decrease.
+const CHECKPOINT_SERIES: [&str; 4] = [
+    "recd_etl_checkpoints_total",
+    "recd_etl_checkpoint_seconds_total",
+    "recd_dpp_checkpoints_total",
+    "recd_dpp_checkpoint_seconds_total",
 ];
 
 /// Structural validation of the exposition text: every sample line belongs
@@ -127,16 +140,36 @@ fn tail_pipeline_serves_all_tier_families_over_http() {
         .map(|trainer| std::thread::spawn(move || trainer.drain().len()))
         .collect();
 
-    // Drive the pipeline, scraping over a raw TcpStream mid-run.
+    // Drive the pipeline at the exactly-once cadence (ingest, barrier,
+    // checkpoint after every pump), scraping over a raw TcpStream mid-run.
     let mut clock = ManualClock::new();
-    let mut sink = |stored: &recd::storage::StoredPartition,
-                    _sealed: &recd::etl::TablePartition| {
-        handle.ingest_partition(stored);
-    };
+    let mut landed: Vec<StoredPartition> = Vec::new();
+    let mut pumps = 0.0;
+    let mut last_seen = [0.0; CHECKPOINT_SERIES.len()];
     let mut mid_run_scrape = String::new();
     while !etl.tail_drained() {
         let now = clock.advance(60_000);
-        etl.pump(now, &mut sink);
+        etl.pump(
+            now,
+            &mut |stored: &StoredPartition, _: &recd::etl::TablePartition| {
+                landed.push(stored.clone());
+            },
+        );
+        for stored in landed.drain(..) {
+            handle.ingest_partition(&stored);
+            assert!(handle.flush_partition(), "barrier resolves");
+        }
+        let _checkpoint = (etl.checkpoint(), handle.checkpoint());
+        pumps += 1.0;
+        let families = registry.gather();
+        for (seen, name) in last_seen.iter_mut().zip(CHECKPOINT_SERIES) {
+            let value = sample_value(&families, name, &[])
+                .unwrap_or_else(|| panic!("{name} missing after a checkpoint"));
+            assert!(value >= *seen, "{name} decreased: {seen} -> {value}");
+            *seen = value;
+        }
+        assert_eq!(last_seen[0], pumps, "one etl checkpoint counted per pump");
+        assert_eq!(last_seen[2], pumps, "one dpp checkpoint counted per pump");
         if mid_run_scrape.is_empty() {
             let mut stream = TcpStream::connect(addr).expect("connect mid-run");
             write!(
@@ -158,7 +191,15 @@ fn tail_pipeline_serves_all_tier_families_over_http() {
             );
         }
     }
-    etl.finish(&mut sink);
+    etl.finish(
+        &mut |stored: &StoredPartition, _: &recd::etl::TablePartition| {
+            handle.ingest_partition(stored);
+        },
+    );
+    assert!(
+        last_seen[1] > 0.0 && last_seen[3] > 0.0,
+        "checkpoint time accrued"
+    );
     let report = handle.finish().expect("pipeline drains cleanly").report;
     let consumed: usize = trainers
         .into_iter()
