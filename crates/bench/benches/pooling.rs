@@ -6,9 +6,9 @@ use recd_bench::BenchFixture;
 use recd_trainer::{pool_sequence, Dlrm, DlrmConfig, ExecutionMode, PoolingKind};
 
 fn bench_pool_sequence(c: &mut Criterion) {
-    let sequence: Vec<Vec<f32>> = (0..96)
-        .map(|i| (0..64).map(|j| ((i * 64 + j) as f32).sin()).collect())
-        .collect();
+    // One row-major 96x64 sequence, as `EmbeddingTable::lookup_sequence`
+    // gathers it.
+    let sequence: Vec<f32> = (0..96 * 64).map(|i| (i as f32).sin()).collect();
     let mut group = c.benchmark_group("pool_one_sequence_96x64");
     group.sample_size(30);
     for kind in [

@@ -3,7 +3,7 @@
 //! MLP producing a click probability (paper §2.2, Figure 2).
 
 use crate::embedding::EmbeddingTable;
-use crate::nn::{bce_loss, sigmoid, Mlp};
+use crate::nn::{bce_loss, dot, sigmoid, Mlp};
 use crate::pooling::{pool_sequence, PoolingKind};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -31,7 +31,10 @@ pub enum ExecutionMode {
 pub struct ForwardStats {
     /// Single-row embedding lookups performed.
     pub emb_lookups: u64,
-    /// FLOPs spent in pooling modules.
+    /// FLOPs the cost model charges for the pooling modules
+    /// ([`PoolingKind::flops_per_row`]): the analytical figure of the
+    /// paper's parameterised modules, not the work the parameter-free
+    /// executable kernels perform.
     pub pooling_flops: u64,
     /// Rows (or slots) run through pooling modules.
     pub pooled_rows: usize,
@@ -377,17 +380,17 @@ impl Dlrm {
                 if ids.is_empty() {
                     continue;
                 }
-                let mut grad = grads[fi + 1].clone();
-                if matches!(kind, PoolingKind::Mean) {
+                let table = self.tables.get_mut(&feature).expect("table exists");
+                let grad = &grads[fi + 1];
+                if kind == PoolingKind::Mean {
+                    // Only mean pooling scales the gradient; sum pooling
+                    // applies the borrowed row as is.
                     let n = ids.len() as f32;
-                    for g in &mut grad {
-                        *g /= n;
-                    }
+                    let scaled: Vec<f32> = grad.iter().map(|g| g / n).collect();
+                    table.apply_pooled_gradient(ids, &scaled, lr);
+                } else {
+                    table.apply_pooled_gradient(ids, grad, lr);
                 }
-                self.tables
-                    .get_mut(&feature)
-                    .expect("table exists")
-                    .apply_pooled_gradient(&ids, &grad, lr);
             }
         }
         total_loss / batch_size as f32
@@ -404,21 +407,18 @@ struct ForwardCache {
     features: Vec<FeatureId>,
 }
 
-/// Looks up the logical ids of `feature` at `row`, whichever container holds
+/// Borrows the logical ids of `feature` at `row`, whichever container holds
 /// the feature.
-fn row_ids(batch: &ConvertedBatch, feature: FeatureId, row: usize) -> Vec<u64> {
+fn row_ids(batch: &ConvertedBatch, feature: FeatureId, row: usize) -> &[u64] {
     if let Some(tensor) = batch.kjt.feature(feature) {
-        return tensor.row(row).to_vec();
+        return tensor.row(row);
     }
     for ikjt in &batch.ikjts {
         if ikjt.feature(feature).is_some() {
-            return ikjt
-                .row(feature, row)
-                .map(<[u64]>::to_vec)
-                .unwrap_or_default();
+            return ikjt.row(feature, row).unwrap_or_default();
         }
     }
-    Vec::new()
+    &[]
 }
 
 /// Pooled vectors for a run of rows (or slots), stored as one flat
@@ -447,21 +447,22 @@ fn pool_rows(
     for row in tensor.iter() {
         stats.emb_lookups += row.len() as u64;
         stats.activation_values += row.len() * dim;
-        let pooled = match kind {
+        match kind {
             PoolingKind::Sum => {
-                // Fast path: fused lookup + sum.
+                // Fast path: fused lookup + sum, straight into the matrix.
                 stats.pooling_flops += kind.flops_per_row(row.len(), dim);
-                table.lookup_pooled(row)
+                let start = out.len();
+                out.resize(start + dim, 0.0);
+                table.lookup_pooled_into(row, &mut out[start..]);
             }
             _ => {
                 let sequence = table.lookup_sequence(row);
                 let (pooled, cost) = pool_sequence(kind, &sequence, dim);
                 stats.pooling_flops += cost.flops;
-                pooled
+                out.extend_from_slice(&pooled);
             }
-        };
+        }
         stats.pooled_rows += 1;
-        out.extend_from_slice(&pooled);
     }
     PooledRows { data: out, dim }
 }
@@ -473,8 +474,7 @@ fn pairwise_dot_interaction(vectors: &[&[f32]], dim: usize) -> Vec<f32> {
     out.extend_from_slice(vectors[0]);
     for i in 0..vectors.len() {
         for j in (i + 1)..vectors.len() {
-            let dot: f32 = vectors[i].iter().zip(vectors[j]).map(|(a, b)| a * b).sum();
-            out.push(dot);
+            out.push(dot(vectors[i], vectors[j]));
         }
     }
     out
@@ -535,23 +535,26 @@ mod tests {
     #[test]
     fn dedup_and_baseline_paths_produce_identical_predictions() {
         let (schema, batch) = converted_batch(true);
-        let config = DlrmConfig::from_schema(&schema, 16, PoolingKind::Attention);
-        let mut model_a = Dlrm::new(config.clone());
-        let mut model_b = Dlrm::new(config);
-        let (probs_dedup, stats_dedup) = model_a.forward(&batch, ExecutionMode::Deduplicated);
-        let (probs_base, stats_base) = model_b.forward(&batch, ExecutionMode::Baseline);
-        assert_eq!(probs_dedup.len(), batch.batch_size);
-        for (a, b) in probs_dedup.iter().zip(&probs_base) {
-            assert!(
-                (a - b).abs() < 1e-5,
-                "IKJT and KJT paths must agree: {a} vs {b}"
-            );
+        for kind in [PoolingKind::Attention, PoolingKind::Transformer] {
+            let config = DlrmConfig::from_schema(&schema, 16, kind);
+            assert!(config.feature_pooling.iter().any(|&(_, k)| k == kind));
+            let mut model_a = Dlrm::new(config.clone());
+            let mut model_b = Dlrm::new(config);
+            let (probs_dedup, stats_dedup) = model_a.forward(&batch, ExecutionMode::Deduplicated);
+            let (probs_base, stats_base) = model_b.forward(&batch, ExecutionMode::Baseline);
+            assert_eq!(probs_dedup.len(), batch.batch_size);
+            for (a, b) in probs_dedup.iter().zip(&probs_base) {
+                assert!(
+                    (a - b).abs() < 1e-5,
+                    "{kind:?}: IKJT and KJT paths must agree: {a} vs {b}"
+                );
+            }
+            // The deduplicated path does strictly less embedding and pooling work.
+            assert!(stats_dedup.emb_lookups < stats_base.emb_lookups);
+            assert!(stats_dedup.pooling_flops < stats_base.pooling_flops);
+            assert!(stats_dedup.activation_values < stats_base.activation_values);
+            assert!(stats_dedup.pooled_rows < stats_base.pooled_rows);
         }
-        // The deduplicated path does strictly less embedding and pooling work.
-        assert!(stats_dedup.emb_lookups < stats_base.emb_lookups);
-        assert!(stats_dedup.pooling_flops < stats_base.pooling_flops);
-        assert!(stats_dedup.activation_values < stats_base.activation_values);
-        assert!(stats_dedup.pooled_rows < stats_base.pooled_rows);
     }
 
     #[test]

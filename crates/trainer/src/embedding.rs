@@ -95,15 +95,16 @@ impl EmbeddingTable {
     }
 
     /// Looks up every id of a list as separate (unpooled) embedding vectors —
-    /// the input of sequence pooling modules.
-    pub fn lookup_sequence(&mut self, ids: &[u64]) -> Vec<Vec<f32>> {
+    /// the input of sequence pooling modules — gathered into one row-major
+    /// `[ids.len() * dim]` matrix.
+    pub fn lookup_sequence(&mut self, ids: &[u64]) -> Vec<f32> {
         self.lookups += ids.len() as u64;
-        ids.iter()
-            .map(|&id| {
-                let r = self.row_index(id);
-                self.weights[r * self.dim..(r + 1) * self.dim].to_vec()
-            })
-            .collect()
+        let mut out = Vec::with_capacity(ids.len() * self.dim);
+        for &id in ids {
+            let r = self.row_index(id);
+            out.extend_from_slice(&self.weights[r * self.dim..(r + 1) * self.dim]);
+        }
+        out
     }
 
     /// SGD update for a sum-pooled lookup: every id in the list receives the
@@ -141,8 +142,9 @@ mod tests {
             assert!((p - e).abs() < 1e-6);
         }
         let seq = table.lookup_sequence(&[5, 7]);
-        assert_eq!(seq.len(), 2);
-        assert_eq!(seq[0], a);
+        assert_eq!(seq.len(), 2 * 8);
+        assert_eq!(&seq[..8], &a[..]);
+        assert_eq!(&seq[8..], table.lookup(7));
     }
 
     #[test]
