@@ -186,7 +186,7 @@ pub struct DppSnapshot {
 
 /// The final accounting of one service run, produced by
 /// [`DppHandle::finish`](crate::DppHandle::finish).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct DppReport {
     /// Fill workers configured at start.
     pub fill_workers: usize,

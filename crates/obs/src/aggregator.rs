@@ -291,7 +291,8 @@ impl MetricsAggregator {
     }
 
     /// Renders the one-shot text report: the derived metrics followed by
-    /// every retained series with its latest value and window rate.
+    /// every retained series with its latest value and, for counters and
+    /// histograms, its window rate.
     pub fn report(&self) -> String {
         let derived = self.derived();
         let series = self.series.lock().expect("aggregator lock");
@@ -338,8 +339,12 @@ impl MetricsAggregator {
         out.push_str("series (last | window rate/s | points):\n");
         for (key, s) in series.iter() {
             let last = s.points.back().map_or(0.0, |p| p.1);
-            let rate = match (s.points.front(), s.points.back()) {
-                (Some(&(t0, v0)), Some(&(t1, v1))) if t1 > t0 => {
+            // A gauge's level is the signal; a "rate" of it (e.g. workers
+            // going -3.98/s while a pool drains) is noise. Counters and
+            // histogram counts are the series whose rate means something.
+            let rate = match (s.kind, s.points.front(), s.points.back()) {
+                (MetricKind::Gauge, ..) => "-".to_string(),
+                (_, Some(&(t0, v0)), Some(&(t1, v1))) if t1 > t0 => {
                     format!("{:.2}", (v1 - v0) / (t1 - t0))
                 }
                 _ => "n/a".to_string(),
@@ -436,6 +441,8 @@ mod tests {
         assert!(report.contains("end_to_end_records_per_second: 100.0"));
         assert!(report.contains("catching up"));
         assert!(report.contains("recd_dpp_samples_out_total"));
+        // Gauges print their level only: no window rate.
+        assert!(report.contains("[G] recd_etl_tail_lag_ms  750 | - | 4"));
     }
 
     /// A counter that climbs, resets to zero (a killed host rejoining with

@@ -1,0 +1,865 @@
+//! The `recd-dpp` CLI: runs the streaming preprocessing service over a
+//! synthetic `recd-datagen` dataset and prints live metrics plus the final
+//! report.
+//!
+//! ```text
+//! recd-dpp [--preset tiny|small] [--sessions N] [--batch-size N]
+//!          [--fill-workers N] [--workers N] [--shards N] [--queue-depth N]
+//!          [--policy session|file|row] [--trainers N]
+//!          [--assign pinned|least|rr] [--min-workers N] [--max-workers N]
+//!          [--ctrl] [--ctrl-kp F] [--ctrl-ki F] [--ctrl-kd F]
+//!          [--tail] [--tail-rate N] [--tail-jitter-ms N]
+//!          [--tail-late-frac F] [--tail-late-ms N] [--tail-window-ms N]
+//!          [--tail-seal-rows N] [--tail-seed N]
+//!          [--hosts M] [--heartbeat-ms N] [--rebalance on|off]
+//!          [--chaos-seed N | --chaos-plan SPEC]
+//!          [--metrics-port N] [--scrape-once]
+//!          [--quiet]
+//! ```
+//!
+//! With `--hosts M` (requires `--tail`) the DPP tier is disaggregated over
+//! `M` simulated hosts behind the fault-tolerant control plane: the
+//! coordinator owns the file → shard placement, heartbeats every host on
+//! the pump clock, heals `kill-host`/`partition-host`/`rejoin-host` chaos
+//! faults with bounded replay, and federates every host's metrics registry
+//! into the shared `/metrics` endpoint under `host="h<i>"` labels.
+//!
+//! By default the dataset is batch-landed up front and submitted whole. With
+//! `--tail` the CLI instead runs the *continuous* pipeline: a jittered,
+//! optionally straggling log tail over the raw log stream feeds the
+//! streaming ETL stage (incremental join → per-session clustering → hourly
+//! seals), and every sealed partition lands and is handed to the running
+//! service the moment it appears.
+//!
+//! Both modes are one [`ContinuousDriver`] run — this binary is argument
+//! parsing and printing around it. The driver's registry holds every tier:
+//! the live monitor renders its snapshot line *from the gathered families*,
+//! `--metrics-port` serves them at `GET /metrics` in the Prometheus text
+//! exposition format (port `0` picks an ephemeral one), and the driver's
+//! aggregator derives the rates report printed at the end.
+
+use recd_chaos::{ChaosReport, FaultPlan};
+use recd_core::{ConvertedBatch, DataLoaderConfig};
+use recd_datagen::{DatasetGenerator, WorkloadConfig, WorkloadPreset};
+use recd_dpp::{
+    BatchPool, CtrlConfig, DppConfig, DppFleet, DppReport, DppService, FleetConfig, ScalerConfig,
+    ShardPolicy, TrainerAssignPolicy, TrainerBatch,
+};
+use recd_etl::{cluster_by_session, EtlServiceReport, EtlStreamConfig, TableLayout};
+use recd_obs::{sample_value, MetricFamily, MetricsServer, SampleValue};
+use recd_pipeline::{ContinuousDriver, DppBackend, LaneWork, TailFeed};
+use recd_reader::{PreprocessPipeline, ReaderConfig};
+use recd_scribe::TailConfig;
+use recd_storage::{NodeConfig, TableStore, TectonicSim};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::time::Duration;
+
+struct Args {
+    preset: WorkloadPreset,
+    sessions: Option<usize>,
+    batch_size: usize,
+    fill_workers: usize,
+    compute_workers: usize,
+    shards: usize,
+    queue_depth: usize,
+    policy: ShardPolicy,
+    trainers: usize,
+    assign: TrainerAssignPolicy,
+    min_workers: Option<usize>,
+    max_workers: Option<usize>,
+    ctrl: bool,
+    ctrl_kp: Option<f64>,
+    ctrl_ki: Option<f64>,
+    ctrl_kd: Option<f64>,
+    tail: bool,
+    tail_rate_ms: u64,
+    tail_jitter_ms: u64,
+    tail_late_frac: f64,
+    tail_late_ms: u64,
+    tail_window_ms: u64,
+    tail_seal_rows: Option<usize>,
+    tail_seed: u64,
+    hosts: usize,
+    heartbeat_ms: u64,
+    rebalance: bool,
+    chaos_seed: Option<u64>,
+    chaos_plan: Option<String>,
+    storage_rate: f64,
+    storage_bw: f64,
+    cache_mb: usize,
+    metrics_port: Option<u16>,
+    scrape_once: bool,
+    quiet: bool,
+}
+
+fn parse_args() -> Result<Args, String> {
+    let mut args = Args {
+        preset: WorkloadPreset::Small,
+        sessions: None,
+        batch_size: 128,
+        fill_workers: 2,
+        compute_workers: 4,
+        shards: 4,
+        queue_depth: 8,
+        policy: ShardPolicy::SessionAffine,
+        trainers: 0,
+        assign: TrainerAssignPolicy::ShardPinned,
+        min_workers: None,
+        max_workers: None,
+        ctrl: false,
+        ctrl_kp: None,
+        ctrl_ki: None,
+        ctrl_kd: None,
+        tail: false,
+        tail_rate_ms: 60_000,
+        tail_jitter_ms: 2_000,
+        tail_late_frac: 0.0,
+        tail_late_ms: 60_000,
+        tail_window_ms: 30_000,
+        tail_seal_rows: None,
+        tail_seed: 0,
+        hosts: 0,
+        heartbeat_ms: 120_000,
+        rebalance: true,
+        chaos_seed: None,
+        chaos_plan: None,
+        storage_rate: 0.0,
+        storage_bw: 256.0 * 1024.0 * 1024.0,
+        cache_mb: 0,
+        metrics_port: None,
+        scrape_once: false,
+        quiet: false,
+    };
+    let mut it = std::env::args().skip(1);
+    while let Some(flag) = it.next() {
+        let mut value = |flag: &str| it.next().ok_or_else(|| format!("{flag} requires a value"));
+        match flag.as_str() {
+            "--preset" => {
+                args.preset = match value("--preset")?.as_str() {
+                    "tiny" => WorkloadPreset::Tiny,
+                    "small" => WorkloadPreset::Small,
+                    other => return Err(format!("unknown preset '{other}' (tiny|small)")),
+                }
+            }
+            "--sessions" => args.sessions = Some(number(&flag, value(&flag)?)?),
+            "--batch-size" => args.batch_size = number(&flag, value(&flag)?)?,
+            "--fill-workers" => args.fill_workers = number(&flag, value(&flag)?)?,
+            "--workers" => args.compute_workers = number(&flag, value(&flag)?)?,
+            "--shards" => args.shards = number(&flag, value(&flag)?)?,
+            "--queue-depth" => args.queue_depth = number(&flag, value(&flag)?)?,
+            "--policy" => {
+                args.policy = match value("--policy")?.as_str() {
+                    "session" => ShardPolicy::SessionAffine,
+                    "file" => ShardPolicy::FileRoundRobin,
+                    "row" => ShardPolicy::RowRoundRobin,
+                    other => return Err(format!("unknown policy '{other}' (session|file|row)")),
+                }
+            }
+            "--trainers" => args.trainers = number(&flag, value(&flag)?)?,
+            "--assign" => {
+                args.assign = match value("--assign")?.as_str() {
+                    "pinned" => TrainerAssignPolicy::ShardPinned,
+                    "least" => TrainerAssignPolicy::LeastLoaded,
+                    "rr" => TrainerAssignPolicy::RoundRobin,
+                    other => {
+                        return Err(format!("unknown assign policy '{other}' (pinned|least|rr)"))
+                    }
+                }
+            }
+            "--min-workers" => args.min_workers = Some(number(&flag, value(&flag)?)?),
+            "--max-workers" => args.max_workers = Some(number(&flag, value(&flag)?)?),
+            "--ctrl" => args.ctrl = true,
+            "--ctrl-kp" => args.ctrl_kp = Some(number(&flag, value(&flag)?)?),
+            "--ctrl-ki" => args.ctrl_ki = Some(number(&flag, value(&flag)?)?),
+            "--ctrl-kd" => args.ctrl_kd = Some(number(&flag, value(&flag)?)?),
+            "--tail" => args.tail = true,
+            "--tail-rate" => args.tail_rate_ms = number(&flag, value(&flag)?)?,
+            "--tail-jitter-ms" => args.tail_jitter_ms = number(&flag, value(&flag)?)?,
+            "--tail-late-frac" => args.tail_late_frac = number(&flag, value(&flag)?)?,
+            "--tail-late-ms" => args.tail_late_ms = number(&flag, value(&flag)?)?,
+            "--tail-window-ms" => args.tail_window_ms = number(&flag, value(&flag)?)?,
+            "--tail-seal-rows" => args.tail_seal_rows = Some(number(&flag, value(&flag)?)?),
+            "--tail-seed" => args.tail_seed = number(&flag, value(&flag)?)?,
+            "--hosts" => args.hosts = number(&flag, value(&flag)?)?,
+            "--heartbeat-ms" => args.heartbeat_ms = number(&flag, value(&flag)?)?,
+            "--rebalance" => {
+                args.rebalance = match value("--rebalance")?.as_str() {
+                    "on" => true,
+                    "off" => false,
+                    other => return Err(format!("unknown rebalance mode '{other}' (on|off)")),
+                }
+            }
+            "--chaos-seed" => args.chaos_seed = Some(number(&flag, value(&flag)?)?),
+            "--chaos-plan" => args.chaos_plan = Some(value("--chaos-plan")?),
+            "--storage-rate" => args.storage_rate = number(&flag, value(&flag)?)?,
+            "--storage-bw" => args.storage_bw = number(&flag, value(&flag)?)?,
+            "--cache-mb" => args.cache_mb = number(&flag, value(&flag)?)?,
+            "--metrics-port" => args.metrics_port = Some(number(&flag, value(&flag)?)?),
+            "--scrape-once" => args.scrape_once = true,
+            "--quiet" => args.quiet = true,
+            "--help" | "-h" => {
+                println!(
+                    "recd-dpp: streaming DPP service demo\n\
+                     \n  --preset tiny|small      workload preset (default small)\
+                     \n  --sessions N             override session count\
+                     \n  --batch-size N           training batch size (default 128)\
+                     \n  --fill-workers N         fill (decode) workers (default 2)\
+                     \n  --workers N              convert/process workers (default 4)\
+                     \n  --shards N               shard lanes (default 4)\
+                     \n  --queue-depth N          backpressure window per queue (default 8)\
+                     \n  --policy session|file|row  sharding policy (default session)\
+                     \n  --trainers N             fan out to N simulated trainers (default 0 = collect)\
+                     \n  --assign pinned|least|rr trainer lane assignment (default pinned)\
+                     \n  --min-workers N          enable dynamic scaling: pool lower bound\
+                     \n  --max-workers N          enable dynamic scaling: pool upper bound\
+                     \n  --ctrl                   close the control loop: a cross-tier PID\
+                     \n                           controller samples trainer lanes, DPP queues,\
+                     \n                           and ETL tail lag, resizes both worker pools,\
+                     \n                           and gates the ETL pump (replaces the watermark\
+                     \n                           scaler when both are enabled; exports the\
+                     \n                           recd_ctrl_* metric families)\
+                     \n  --ctrl-kp F              proportional gain (default 2.0; requires --ctrl)\
+                     \n  --ctrl-ki F              integral gain (default 1.0; requires --ctrl)\
+                     \n  --ctrl-kd F              derivative gain (default 0.0; requires --ctrl)\
+                     \n  --tail                   continuous mode: tail the raw log stream through\
+                     \n                           the streaming ETL (join/cluster/seal/land) and\
+                     \n                           ingest partitions as they land\
+                     \n  --tail-rate N            simulated ms of log time per pump step (default 60000)\
+                     \n  --tail-jitter-ms N       arrival jitter bound (default 2000)\
+                     \n  --tail-late-frac F       fraction of straggling records (default 0)\
+                     \n  --tail-late-ms N         extra straggler delay (default 60000)\
+                     \n  --tail-window-ms N       ETL out-of-order window (default 30000)\
+                     \n  --tail-seal-rows N       seal an open hour early at N rows\
+                     \n  --tail-seed N            arrival-process seed (default 0)\
+                     \n  --hosts M                disaggregate the DPP tier over M simulated hosts\
+                     \n                           behind the fault-tolerant control plane (requires\
+                     \n                           --tail; default 0 = single in-process service)\
+                     \n  --heartbeat-ms N         fleet heartbeat timeout: a host silent strictly\
+                     \n                           longer than this is declared dead (default 120000)\
+                     \n  --rebalance on|off       work-stealing shard rebalance at every barrier\
+                     \n                           (default on)\
+                     \n  --chaos-seed N           run a seeded fault plan against the continuous\
+                     \n                           pipeline (requires --tail): storage brown-out,\
+                     \n                           transient get/put failures, trainer kill+stall\
+                     \n                           (when --trainers > 1), ETL pump crash-restart\
+                     \n  --chaos-plan SPEC        run an explicit fault plan (requires --tail);\
+                     \n                           semicolon-separated at_ms:kind[:args] entries:\
+                     \n                           stall-trainer:LANE:MS | kill-trainer:LANE |\
+                     \n                           slow-storage:FACTOR:MS | fail-get:COUNT |\
+                     \n                           fail-put:COUNT | crash-pump | kill-host:HOST |\
+                     \n                           partition-host:HOST:MS | rejoin-host:HOST\
+                     \n                           (host faults require --hosts > 1)\
+                     \n  --storage-rate N         enable the per-node storage queue model: each of\
+                     \n                           the 8 simulated nodes services N ops/s, so blob\
+                     \n                           get/put latency emerges from queue depth and\
+                     \n                           transfer size (default 0 = flat-latency store)\
+                     \n  --storage-bw BYTES       per-node storage bandwidth in bytes/s (default\
+                     \n                           268435456 = 256 MiB/s; requires --storage-rate)\
+                     \n  --cache-mb N             enable an N-MiB LRU blob cache in front of the\
+                     \n                           storage nodes (default 0 = off); hits bypass the\
+                     \n                           node queues\
+                     \n  --metrics-port N         serve GET /metrics (Prometheus text format) on\
+                     \n                           127.0.0.1:N while running (0 = ephemeral port)\
+                     \n  --scrape-once            self-scrape /metrics once before shutdown and\
+                     \n                           print the exposition (requires --metrics-port)\
+                     \n  --quiet                  suppress live snapshots"
+                );
+                std::process::exit(0);
+            }
+            other => return Err(format!("unknown flag '{other}' (try --help)")),
+        }
+    }
+    if args.scrape_once && args.metrics_port.is_none() {
+        return Err("--scrape-once requires --metrics-port".to_string());
+    }
+    if (args.ctrl_kp.is_some() || args.ctrl_ki.is_some() || args.ctrl_kd.is_some()) && !args.ctrl {
+        return Err("--ctrl-kp/--ctrl-ki/--ctrl-kd require --ctrl".to_string());
+    }
+    if (args.chaos_seed.is_some() || args.chaos_plan.is_some()) && !args.tail {
+        return Err(
+            "--chaos-seed/--chaos-plan require --tail (faults drive the continuous pipeline)"
+                .to_string(),
+        );
+    }
+    if args.chaos_seed.is_some() && args.chaos_plan.is_some() {
+        return Err("--chaos-seed and --chaos-plan are mutually exclusive".to_string());
+    }
+    if !(args.storage_rate.is_finite() && args.storage_rate >= 0.0) {
+        return Err("--storage-rate must be a finite, non-negative ops/s figure".to_string());
+    }
+    if !(args.storage_bw.is_finite() && args.storage_bw > 0.0) {
+        return Err("--storage-bw must be a finite, positive bytes/s figure".to_string());
+    }
+    if args.hosts > 0 && !args.tail {
+        return Err(
+            "--hosts requires --tail (the fleet's heartbeats ride the continuous pump clock)"
+                .to_string(),
+        );
+    }
+    Ok(args)
+}
+
+/// Parses one flag's numeric value, naming the flag on error.
+fn number<T: std::str::FromStr>(flag: &str, value: String) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    value.parse().map_err(|e| format!("{flag}: {e}"))
+}
+
+/// Builds the blob store for this invocation: 8 simulated nodes, with the
+/// per-node queue model when `--storage-rate` is set and the LRU cache tier
+/// when `--cache-mb` is set.
+fn build_blob_store(args: &Args) -> TectonicSim {
+    let mut sim = TectonicSim::new(8);
+    if args.storage_rate > 0.0 {
+        sim = sim.with_node_config(NodeConfig::new(args.storage_rate, args.storage_bw));
+    }
+    if args.cache_mb > 0 {
+        sim = sim.with_cache(args.cache_mb * 1024 * 1024);
+    }
+    sim
+}
+
+/// Prints the machine-parseable storage derived lines for whichever storage
+/// tiers this invocation enabled; `scripts/bench_snapshot.sh` and the CI
+/// chaos smoke read them.
+fn print_storage_derived(sim: &TectonicSim) {
+    if sim.cache_enabled() {
+        println!(
+            "derived storage_cache_hit_ratio {:.4}",
+            sim.cache_stats().hit_ratio()
+        );
+    }
+    if sim.queueing_enabled() {
+        println!(
+            "derived storage_node_wait_ms {:.4}",
+            sim.mean_queue_wait().as_secs_f64() * 1e3
+        );
+    }
+}
+
+/// Renders one live-monitor line from gathered metric families — the single
+/// formatting path for batch and tail mode. The ETL fragment appears exactly
+/// when the ETL tier is registered (its families are present), so the line
+/// shape is decided by the registry contents, not by a mode flag.
+fn live_line(families: &[MetricFamily]) -> String {
+    let v =
+        |name: &str, labels: &[(&str, &str)]| sample_value(families, name, labels).unwrap_or(0.0);
+    let lanes: Vec<String> = families
+        .iter()
+        .find(|f| f.name == "recd_dpp_trainer_queue_depth")
+        .map(|family| {
+            family
+                .samples
+                .iter()
+                .filter_map(|s| match s.value {
+                    SampleValue::Scalar(depth) => Some(format!("{}", depth as u64)),
+                    SampleValue::Histogram(_) => None,
+                })
+                .collect()
+        })
+        .unwrap_or_default();
+    let etl_part = if families.iter().any(|f| f.name == "recd_etl_tail_lag_ms") {
+        format!(
+            "  etl lag={:.0}s open={}h/{}s sealed={} late={}",
+            v("recd_etl_tail_lag_ms", &[]) / 1_000.0,
+            v("recd_etl_open_hours", &[]) as u64,
+            v("recd_etl_open_sessions", &[]) as u64,
+            v("recd_etl_sealed_partitions_total", &[]) as u64,
+            v("recd_etl_late_drops_total", &[]) as u64,
+        )
+    } else {
+        String::new()
+    };
+    let fleet_part = if families.iter().any(|f| f.name == "recd_fleet_hosts_live") {
+        format!(
+            "  fleet {}/{} live fwd={} dup={}",
+            v("recd_fleet_hosts_live", &[]) as u64,
+            v("recd_fleet_hosts_total", &[]) as u64,
+            v("recd_fleet_forwarded_batches_total", &[]) as u64,
+            v("recd_fleet_duplicate_batches_dropped_total", &[]) as u64,
+        )
+    } else {
+        String::new()
+    };
+    format!(
+        "  [{:6.2}s] {:>8} samples  {:>9.0} samples/s  dedup {:>5.2}x  queues fill={} route={} work={} out={}  workers {}f/{}c{}{}{}",
+        v("recd_dpp_uptime_seconds", &[]),
+        v("recd_dpp_samples_out_total", &[]) as u64,
+        v("recd_dpp_samples_per_second", &[]),
+        v("recd_dpp_dedupe_factor", &[]),
+        v("recd_dpp_queue_depth", &[("queue", "input")]) as u64,
+        v("recd_dpp_queue_depth", &[("queue", "filled")]) as u64,
+        v("recd_dpp_queue_depth", &[("queue", "work")]) as u64,
+        v("recd_dpp_queue_depth", &[("queue", "output")]) as u64,
+        v("recd_dpp_workers_live", &[("pool", "fill")]) as u64,
+        v("recd_dpp_workers_live", &[("pool", "compute")]) as u64,
+        if lanes.is_empty() {
+            String::new()
+        } else {
+            format!("  lanes [{}]", lanes.join(","))
+        },
+        etl_part,
+        fleet_part,
+    )
+}
+
+/// What a CLI trainer lane does with each batch: count it and recycle the
+/// shell into the service's converted-batch pool, so compute workers refill
+/// warm buffers. Fleet lanes drop the shell instead — their batches come
+/// from many hosts' pools.
+struct Consumed {
+    batches: u64,
+    samples: u64,
+    pool: Option<Arc<BatchPool<ConvertedBatch>>>,
+}
+
+impl LaneWork for Consumed {
+    fn consume(&mut self, item: TrainerBatch) {
+        self.batches += 1;
+        self.samples += item.batch.batch_size as u64;
+        if let Some(pool) = &self.pool {
+            pool.recycle(item.batch);
+        }
+    }
+}
+
+fn main() {
+    let args = parse_args().unwrap_or_else(|message| {
+        eprintln!("recd-dpp: {message}");
+        std::process::exit(2);
+    });
+
+    // Dataset. Batch mode: generate, cluster by session (O2), land into the
+    // table store up front. Tail mode: keep the raw log stream — the
+    // streaming ETL stage will join, cluster, and land it incrementally.
+    let mut workload = WorkloadConfig::preset(args.preset);
+    if let Some(sessions) = args.sessions {
+        workload = workload.with_sessions(sessions);
+    }
+    let generator = DatasetGenerator::new(workload);
+    let store = Arc::new(TableStore::new(build_blob_store(&args), 64, 2));
+    let (schema, driver) = if args.tail {
+        let (records, partition) = generator.generate_logs();
+        println!(
+            "dataset: tailing {} raw log records ({} samples once joined){}, jitter {}ms, {:.0}% stragglers (+{}ms), seed {}",
+            records.len(),
+            partition.len(),
+            if args.hosts > 0 {
+                format!(" into a {}-host fleet", args.hosts)
+            } else {
+                String::new()
+            },
+            args.tail_jitter_ms,
+            args.tail_late_frac * 100.0,
+            args.tail_late_ms,
+            args.tail_seed,
+        );
+        // Seeded faults fire inside the middle 80% of the log's time span,
+        // while the pipeline is actually moving data.
+        let horizon = records
+            .iter()
+            .map(|r| r.timestamp().as_millis())
+            .max()
+            .unwrap_or(0);
+        let plan = chaos_plan(&args, horizon);
+        let mut stream = EtlStreamConfig::new(TableLayout::ClusteredBySession)
+            .with_window_ms(args.tail_window_ms);
+        if let Some(rows) = args.tail_seal_rows {
+            stream = stream.with_size_watermark(rows);
+        }
+        println!(
+            "continuous: window {}ms, grace {}ms, {}, {}ms of log time per pump",
+            stream.window_ms,
+            stream.seal_grace_ms,
+            args.tail_seal_rows
+                .map_or("hour-boundary seals only".to_string(), |rows| format!(
+                    "size watermark {rows} rows"
+                )),
+            args.tail_rate_ms,
+        );
+        let feed = TailFeed {
+            records,
+            tail: TailConfig::default()
+                .with_jitter_ms(args.tail_jitter_ms)
+                .with_lateness(args.tail_late_frac, args.tail_late_ms)
+                .with_seed(args.tail_seed),
+            stream,
+            schema: partition.schema.clone(),
+            table: "tail".to_string(),
+            step_ms: args.tail_rate_ms,
+        };
+        let driver = ContinuousDriver::tail(Arc::clone(&store), feed, plan);
+        (partition.schema, driver)
+    } else {
+        let partition = generator.generate_partition();
+        let clustered = cluster_by_session(&partition.samples);
+        let (stored, storage_report) =
+            store.land_partition(&partition.schema, "cli", 0, &clustered);
+        println!(
+            "dataset: {} samples in {} files ({} stored bytes)",
+            clustered.len(),
+            stored.files.len(),
+            storage_report.stored_bytes
+        );
+        let driver = ContinuousDriver::landed(Arc::clone(&store), vec![stored]);
+        (partition.schema, driver)
+    };
+
+    // Service topology — with --hosts, the template every fleet host runs.
+    let mut config = DppConfig::new(ReaderConfig::new(
+        args.batch_size,
+        DataLoaderConfig::from_schema(&schema),
+    ))
+    .with_fill_workers(args.fill_workers)
+    .with_compute_workers(args.compute_workers)
+    .with_shards(args.shards)
+    .with_queue_depth(args.queue_depth)
+    .with_policy(args.policy)
+    .with_pipeline_factory(|| PreprocessPipeline::standard(1 << 20, 64));
+    let min = args.min_workers.unwrap_or(1);
+    let max = args
+        .max_workers
+        .unwrap_or_else(|| min.max(args.fill_workers).max(args.compute_workers));
+    if args.min_workers.is_some() || args.max_workers.is_some() {
+        config = config.with_scaling(
+            ScalerConfig::bounds(min, max).with_tick_period(Duration::from_millis(20)),
+        );
+    }
+    // The closed control loop: a cross-tier PID controller replaces the
+    // watermark scaler, samples every queue tier, and (in tail mode) reads
+    // the ETL tail lag so it can veto trainer backpressure.
+    if args.ctrl {
+        let (kp, ki, kd) = (
+            args.ctrl_kp.unwrap_or(2.0),
+            args.ctrl_ki.unwrap_or(1.0),
+            args.ctrl_kd.unwrap_or(0.0),
+        );
+        let ctrl = CtrlConfig::bounds(min, max)
+            .with_gains(kp, ki, kd)
+            .with_tick_period(Duration::from_millis(20));
+        println!(
+            "control: {}PID kp={kp} ki={ki} kd={kd}, workers in [{min}, {max}], setpoint {:.2}, lane high {:.2}, lag escape {}ms",
+            if args.hosts > 0 { "per-host " } else { "" },
+            ctrl.setpoint,
+            ctrl.lane_high,
+            ctrl.lag_high_ms
+        );
+        config = config.with_ctrl(ctrl);
+    }
+    if let Some(scaling) = &config.scaling {
+        println!(
+            "scaling: workers elastic in [{}, {}], watermarks {:.0}%/{:.0}%, every {:?}",
+            scaling.min_fill,
+            scaling.max_fill,
+            scaling.high_watermark * 100.0,
+            scaling.low_watermark * 100.0,
+            scaling.tick_period
+        );
+    }
+
+    if args.hosts > 0 {
+        let fleet_config = FleetConfig::new(driver.wire(config))
+            .with_hosts(args.hosts)
+            .with_trainers(args.trainers.max(1))
+            .with_trainer_queue_depth(args.queue_depth)
+            .with_heartbeat_timeout_ms(args.heartbeat_ms)
+            .with_rebalance(args.rebalance);
+        println!(
+            "fleet: {} hosts x ({} fill + {} compute workers, {} shards each), {} trainer lanes, heartbeat timeout {}ms, rebalance {}",
+            args.hosts,
+            args.fill_workers,
+            args.compute_workers,
+            args.shards,
+            args.trainers.max(1),
+            args.heartbeat_ms,
+            if args.rebalance { "on" } else { "off" },
+        );
+        let fleet = DppFleet::start(fleet_config, Arc::clone(&store), schema);
+        drive(&args, driver, fleet, None, store.blob_store());
+    } else {
+        println!(
+            "service: {} fill + {} compute workers, {} shards, policy {}, queue depth {}",
+            args.fill_workers,
+            args.compute_workers,
+            args.shards,
+            args.policy.name(),
+            args.queue_depth
+        );
+        if args.trainers > 0 {
+            config = config
+                .with_trainers(args.trainers)
+                .with_assign_policy(args.assign);
+            println!(
+                "fan-out: {} trainers, assign policy {}",
+                args.trainers,
+                args.assign.name()
+            );
+        }
+        let handle = DppService::start(driver.wire(config), Arc::clone(&store), schema);
+        let pool = handle.converted_pool();
+        drive(&args, driver, handle, Some(pool), store.blob_store());
+    }
+}
+
+/// The chaos engine's plan: explicit (`--chaos-plan`) or seeded
+/// (`--chaos-seed`, firing inside `[0, horizon_ms)`). Seeded fleet plans add
+/// host death, control-plane partition and rejoin to the storage and
+/// trainer faults.
+fn chaos_plan(args: &Args, horizon_ms: u64) -> Option<FaultPlan> {
+    let plan = match (&args.chaos_plan, args.chaos_seed) {
+        (Some(spec), _) => FaultPlan::parse(spec).unwrap_or_else(|message| {
+            eprintln!("recd-dpp: --chaos-plan: {message}");
+            std::process::exit(2);
+        }),
+        (None, Some(seed)) if args.hosts > 0 => {
+            FaultPlan::seeded_fleet(seed, horizon_ms, args.trainers, args.hosts)
+        }
+        (None, Some(seed)) => FaultPlan::seeded(seed, horizon_ms, args.trainers),
+        (None, None) => return None,
+    };
+    println!(
+        "chaos: {} faults scheduled (seed {}): {plan}",
+        plan.len(),
+        plan.seed
+    );
+    Some(plan)
+}
+
+/// Runs the driver while serving its registry (`--metrics-port`) and
+/// rendering the live monitor from it, then prints the run. Exits 2 on a
+/// plan error and 1 on a run error.
+fn drive<B: DppBackend>(
+    args: &Args,
+    driver: ContinuousDriver,
+    backend: B,
+    pool: Option<Arc<BatchPool<ConvertedBatch>>>,
+    blob_store: &TectonicSim,
+) {
+    let registry = driver.registry();
+    let server = args.metrics_port.map(|port| {
+        let server = MetricsServer::start(Arc::clone(&registry), port)
+            .unwrap_or_else(|err| panic!("recd-dpp: bind metrics port {port}: {err}"));
+        println!("metrics: serving http://{}/metrics", server.local_addr());
+        server
+    });
+    let done = Arc::new(AtomicBool::new(false));
+    let monitor = (!args.quiet).then(|| {
+        let done = Arc::clone(&done);
+        std::thread::spawn(move || {
+            while !done.load(Ordering::Relaxed) {
+                std::thread::sleep(Duration::from_millis(100));
+                println!("{}", live_line(&registry.gather()));
+            }
+        })
+    });
+    let result = driver.run(backend, || Consumed {
+        batches: 0,
+        samples: 0,
+        pool: pool.clone(),
+    });
+    done.store(true, Ordering::Relaxed);
+    if let Some(monitor) = monitor {
+        monitor.join().expect("monitor thread");
+    }
+    let out = result.unwrap_or_else(|err| {
+        eprintln!("recd-dpp: {err}");
+        std::process::exit(if err.is_plan_error() { 2 } else { 1 });
+    });
+
+    for lane in &out.lanes {
+        println!(
+            "trainer {}: consumed {} batches / {} samples{}",
+            lane.trainer,
+            lane.work.batches,
+            lane.work.samples,
+            if lane.killed {
+                " (killed by chaos)"
+            } else {
+                ""
+            }
+        );
+    }
+    if let Some(etl) = &out.etl {
+        print_etl_summary(etl);
+    }
+    if let Some(fr) = &out.fleet {
+        println!(
+            "\nfleet: {}/{} hosts live at finish, {} heartbeats, {} deaths detected ({} kills / {} partitions / {} rejoins, {} flaps)",
+            fr.hosts_live_at_finish,
+            fr.hosts,
+            fr.heartbeats,
+            fr.deaths_detected,
+            fr.kills,
+            fr.partitions,
+            fr.rejoins,
+            fr.flaps,
+        );
+        println!(
+            "fleet: {} barriers, {} shard replacements, {} rebalance moves ({:.3}ms), {} files replayed, {} duplicate batches dropped",
+            fr.barriers,
+            fr.shard_replacements,
+            fr.rebalance_moves,
+            fr.rebalance_ms,
+            fr.replayed_files,
+            fr.duplicate_batches_dropped,
+        );
+        for (host, report) in &out.host_reports {
+            println!(
+                "fleet: host h{host} processed {} batches / {} samples this incarnation",
+                report.batches, report.samples
+            );
+        }
+    }
+    print_dpp_report(&out.dpp);
+    if let Some(chaos) = &out.chaos {
+        print_chaos_summary(chaos);
+    }
+    // Machine-parseable lines — scripts/bench_snapshot.sh lifts these into
+    // BENCH_pipeline.json.
+    if args.tail {
+        if let Some(rate) = out.aggregator.derived().records_per_second {
+            println!("derived continuous_records_per_second {rate:.1}");
+        }
+        // Sustained end-to-end throughput: total delivered samples over the
+        // whole wall-clock run, the figure the bench gate tracks.
+        println!(
+            "derived pipeline_records_per_second {:.1}",
+            out.dpp.samples as f64 / out.wall_seconds.max(1e-9)
+        );
+    }
+    if let Some(fr) = &out.fleet {
+        println!("derived fleet_rebalance_ms {:.3}", fr.rebalance_ms);
+    }
+    print_storage_derived(blob_store);
+    if !args.quiet {
+        println!("\n{}", out.aggregator.report());
+    }
+    if let Some(server) = server {
+        if args.scrape_once {
+            let addr = server.local_addr();
+            match recd_obs::scrape(addr) {
+                Ok(body) => {
+                    println!("\nscrape of http://{addr}/metrics ({} bytes):", body.len());
+                    print!("{body}");
+                }
+                Err(err) => {
+                    eprintln!("recd-dpp: scrape failed: {err}");
+                    std::process::exit(1);
+                }
+            }
+        }
+        server.shutdown();
+    }
+}
+
+/// The streaming-ETL half of a continuous run, as two summary lines.
+fn print_etl_summary(r: &EtlServiceReport) {
+    let c = r.etl.counters;
+    println!(
+        "\netl: {} records tailed -> {} joined samples, {} late drops, {} duplicates, {} orphans",
+        c.records,
+        c.joined_samples,
+        c.late_drops,
+        c.duplicates,
+        c.orphaned_features + c.orphaned_events,
+    );
+    println!(
+        "etl: {} partitions sealed ({} hour / {} size / {} finish), {} landed ({} stored bytes, {:.2}x compression), peak tail lag {:.0}s",
+        c.sealed_partitions,
+        c.hour_seals,
+        c.size_seals,
+        c.finish_seals,
+        r.landed_partitions,
+        r.storage.stored_bytes,
+        r.storage.compression_ratio(),
+        r.peak_tail_lag_ms as f64 / 1_000.0,
+    );
+}
+
+/// The service (or fleet-aggregate) report, as the final summary block.
+fn print_dpp_report(r: &DppReport) {
+    println!(
+        "\ndone in {:.3}s: {} batches, {} samples, {:.0} samples/s",
+        r.wall_seconds, r.batches, r.samples, r.samples_per_second
+    );
+    if r.partitions_ingested > 0 {
+        println!("partitions ingested: {}", r.partitions_ingested);
+    }
+    println!(
+        "dedup factor {:.2}x, egress {} bytes, peak queue depths: input={} filled={} work={} out={}",
+        r.dedupe_factor,
+        r.egress_bytes,
+        r.peak_input_queue_depth,
+        r.peak_filled_queue_depth,
+        r.peak_work_queue_depth,
+        r.peak_output_queue_depth,
+    );
+    let m = &r.reader_metrics;
+    let (fill, convert, process) = m.phase_fractions();
+    println!(
+        "phase CPU split: fill {:.0}% / convert {:.0}% / process {:.0}%",
+        fill * 100.0,
+        convert * 100.0,
+        process * 100.0
+    );
+    println!(
+        "batch pool: {:.1}% reuse ({} hits / {} misses), converted-shell pool: {} hits",
+        r.batch_pool.reuse_rate() * 100.0,
+        r.batch_pool.hits,
+        r.batch_pool.misses,
+        r.converted_pool.hits,
+    );
+    for lane in &r.trainers {
+        println!(
+            "trainer {}: delivered {} batches / {} samples, peak lane depth {}",
+            lane.trainer, lane.delivered_batches, lane.delivered_samples, lane.peak_queue_depth
+        );
+    }
+    if let Some(ctrl) = &r.ctrl {
+        println!(
+            "control: {} ticks, {} actuations ({} grows / {} shrinks), {} pump pauses / {} resumes",
+            ctrl.ticks,
+            ctrl.actuations,
+            ctrl.grows,
+            ctrl.shrinks,
+            ctrl.pump_pauses,
+            ctrl.pump_resumes
+        );
+    }
+    if !r.scale_events.is_empty() {
+        println!(
+            "scaling: peak {} fill / {} compute workers, {} events:",
+            r.peak_fill_workers,
+            r.peak_compute_workers,
+            r.scale_events.len()
+        );
+        for event in &r.scale_events {
+            println!(
+                "  [{:6.2}s] {} {} -> {} (queue depth {})",
+                event.at_seconds, event.pool, event.from, event.to, event.queue_depth
+            );
+        }
+    }
+}
+
+/// The chaos engine's final accounting line.
+fn print_chaos_summary(report: &ChaosReport) {
+    println!(
+        "\nchaos: {}/{} faults fired (seed {}), {} injected get + {} put failures absorbed by \
+         {} retries ({} exhausted, {:.2}ms backoff), {} pump crashes / {} resumes ({:.2}ms recovery)",
+        report.faults_fired,
+        report.planned_faults,
+        report.seed,
+        report.injected_get_failures,
+        report.injected_put_failures,
+        report.retries,
+        report.retry_exhausted,
+        report.backoff_ms,
+        report.pump_crashes,
+        report.resumes,
+        report.recovery_ms,
+    );
+}

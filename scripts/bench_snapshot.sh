@@ -75,7 +75,7 @@ ratio() {
 # DPP -> trainer fan-out), lifted from the CLI's machine-parseable derived
 # line. Guarded by the gate as higher-is-better.
 echo "running continuous end-to-end throughput probe..." >&2
-continuous_rps=$(cargo run --release -q -p recd-dpp --bin recd-dpp -- \
+continuous_rps=$(cargo run --release -q -p recd-pipeline --bin recd-dpp -- \
   --tail --trainers 2 --assign least --quiet 2>>"$bench_log" \
   | awk '/^derived continuous_records_per_second / { print $3 }')
 if [ -z "$continuous_rps" ]; then
@@ -90,7 +90,7 @@ fi
 # control loop must sustain — pacing is allowed to reshape *when* work
 # happens, never to cost throughput. Guarded by the gate as higher-is-better.
 echo "running controller-on pipeline throughput probe..." >&2
-pipeline_rps=$(cargo run --release -q -p recd-dpp --bin recd-dpp -- \
+pipeline_rps=$(cargo run --release -q -p recd-pipeline --bin recd-dpp -- \
   --tail --trainers 2 --assign least --ctrl --quiet 2>>"$bench_log" \
   | awk '/^derived pipeline_records_per_second / { print $3 }')
 if [ -z "$pipeline_rps" ]; then
@@ -104,7 +104,7 @@ fi
 # lifted from the CLI's machine-parseable derived line. Guarded by the gate
 # as lower-is-better (the _ms suffix).
 echo "running fleet rebalance probe..." >&2
-fleet_rebalance_ms=$(cargo run --release -q -p recd-dpp --bin recd-dpp -- \
+fleet_rebalance_ms=$(cargo run --release -q -p recd-pipeline --bin recd-dpp -- \
   --tail --hosts 3 --trainers 2 --chaos-seed 7 --quiet 2>>"$bench_log" \
   | awk '/^derived fleet_rebalance_ms / { print $3 }')
 if [ -z "$fleet_rebalance_ms" ]; then
