@@ -1,15 +1,10 @@
-//! The cross-tier PID control loop: one controller that closes the loop
-//! from the trainers all the way back to the ETL pump.
+//! The DPP pool controller: one cross-tier PID control loop that owns the
+//! fill and compute pool sizes and closes the loop from the trainers all
+//! the way back to the ETL pump.
 //!
-//! The watermark scaler ([`crate::scaler`]) reads only the DPP input/work
-//! queues, so two end-to-end failure modes stay invisible to it: when the
-//! *trainers* are the bottleneck the pump keeps buffering at the DPP input
-//! queue (the work queue looks healthy — compute is blocked downstream, not
-//! starved upstream), and compute pools never scale *down* while lanes are
-//! full. This controller samples three tiers on the shared
-//! [`ScaleClock`] — DPP input/work queue fractions, trainer-lane depth
-//! fractions, and the ETL tail lag — and emits three coordinated
-//! actuations:
+//! It samples three tiers on the shared [`ScaleClock`] — DPP input/work
+//! queue fractions, trainer-lane depth fractions, and the ETL tail lag —
+//! and emits three coordinated actuations:
 //!
 //! 1. **a pump-rate signal**: [`PumpGate`] turns red while any trainer lane
 //!    sits above [`CtrlConfig::lane_high`], so the ETL service slows or
@@ -17,12 +12,17 @@
 //!    tail-lag escape hatch: a pump is never held back once the ETL has
 //!    fallen more than [`CtrlConfig::lag_high_ms`] behind the tail);
 //! 2. **grow/shrink targets** for the fill and compute pools driven by PID
-//!    error terms instead of watermark+sustain counters — including scaling
-//!    compute *down* when lanes are full, which the watermark heuristic can
-//!    never do because a blocked compute pool keeps its work queue drained;
+//!    error terms, including scaling compute *down* when lanes are full: a
+//!    compute pool blocked downstream keeps its work queue drained, so a
+//!    queue-depth signal alone would never shrink it;
 //! 3. **exported `recd_ctrl_*` metrics** (setpoint, per-pool error and
 //!    integral, actuation counters, pump-gate state) via the
 //!    [`recd_obs::Collector`] implementation on [`CtrlShared`].
+//!
+//! Every resize is recorded as a [`ScaleEvent`]. Retirement is
+//! cooperative — workers poll their pool's governor between (and after)
+//! work items, so a scale-down never preempts an in-flight decode or
+//! conversion.
 //!
 //! The controller is *conservative by construction*: it only changes when
 //! work happens (pump timing, worker population), never what the work is.
@@ -30,14 +30,21 @@
 //! and therefore every trainer-batch union — is byte-identical with the
 //! controller on, off, or tuned badly. The equivalence suite in
 //! `crates/pipeline/tests/control.rs` pins this.
+//!
+//! Time is abstracted behind [`ScaleClock`] so the controller is fully
+//! deterministic under test: the production [`WallClock`] ticks on a period,
+//! while [`ManualClock::step`] grants exactly one evaluation and returns
+//! only after the controller finished it. The clocks live in `recd-obs`
+//! because the metrics aggregator polls on the very same abstraction.
 
-use crate::scaler::{PoolControls, ScaleClock, ScaleEvent};
 use recd_obs::{Collector, MetricsBuf};
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
+
+pub use recd_obs::{ManualClock, ScaleClock, WallClock};
 
 /// A PID control signal crosses this magnitude before the controller acts,
 /// so the gains are expressed in "queue fractions per actuation".
@@ -78,8 +85,8 @@ pub struct CtrlConfig {
     /// Wall-clock sampling period (ignored when a custom clock is
     /// installed).
     pub tick_period: Duration,
-    /// Clock override for deterministic tests; `None` uses a
-    /// [`WallClock`](crate::scaler::WallClock) ticking every `tick_period`.
+    /// Clock override for deterministic tests; `None` uses a [`WallClock`]
+    /// ticking every `tick_period`.
     pub clock: Option<Arc<dyn ScaleClock>>,
     /// Reads the ETL tail lag in ms of log time — the third tier's signal,
     /// injected by whoever owns the `EtlService` (the continuous runner).
@@ -91,10 +98,9 @@ pub struct CtrlConfig {
 impl CtrlConfig {
     /// Creates a PID policy with the given worker bounds shared by both
     /// pools and default gains `kp=2, ki=1, kd=0`: a saturated queue
-    /// (error 0.5) actuates immediately, a queue at 3/4 (error 0.25)
-    /// actuates on the second sustained tick — matching the watermark
-    /// scaler's reaction time while adding the integral memory and the
-    /// trainer/ETL signals it lacks.
+    /// (error 0.5) actuates on the first tick, a queue at 3/4 (error 0.25)
+    /// on the second sustained tick, and an empty queue (error -0.5)
+    /// shrinks its pool one worker per tick once the integral has unwound.
     pub fn bounds(min_workers: usize, max_workers: usize) -> Self {
         let min = min_workers.max(1);
         let max = max_workers.max(min);
@@ -168,8 +174,7 @@ impl CtrlConfig {
         self
     }
 
-    /// Installs a custom clock (e.g. a
-    /// [`ManualClock`](crate::scaler::ManualClock) in tests).
+    /// Installs a custom clock (e.g. a [`ManualClock`] in tests).
     #[must_use]
     pub fn with_clock(mut self, clock: Arc<dyn ScaleClock>) -> Self {
         self.clock = Some(clock);
@@ -368,6 +373,127 @@ impl PumpGate {
     }
 }
 
+/// One recorded pool resize.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct ScaleEvent {
+    /// Clock seconds when the decision was made.
+    pub at_seconds: f64,
+    /// `"fill"` or `"compute"`.
+    pub pool: String,
+    /// Worker count before the event.
+    pub from: usize,
+    /// Worker count the event moves toward.
+    pub to: usize,
+    /// The queue depth that triggered the decision.
+    pub queue_depth: usize,
+}
+
+impl ScaleEvent {
+    /// Whether this event grew the pool.
+    pub fn is_grow(&self) -> bool {
+        self.to > self.from
+    }
+}
+
+/// Shared bookkeeping of one elastic worker pool: the live count, pending
+/// cooperative retirements, and every spawned thread's join handle.
+#[derive(Debug, Default)]
+pub(crate) struct PoolGovernor {
+    live: AtomicUsize,
+    retiring: AtomicUsize,
+    spawned_total: AtomicUsize,
+    peak_live: AtomicUsize,
+    handles: Mutex<Vec<JoinHandle<()>>>,
+}
+
+impl PoolGovernor {
+    pub(crate) fn new() -> Self {
+        Self::default()
+    }
+
+    /// Registers a newly spawned worker.
+    pub(crate) fn adopt(&self, handle: JoinHandle<()>) {
+        let live = self.live.fetch_add(1, Ordering::AcqRel) + 1;
+        self.peak_live.fetch_max(live, Ordering::AcqRel);
+        self.handles.lock().expect("governor lock").push(handle);
+    }
+
+    /// Reserves the next worker id (used for thread names).
+    pub(crate) fn next_worker_id(&self) -> usize {
+        self.spawned_total.fetch_add(1, Ordering::AcqRel)
+    }
+
+    /// Currently live workers.
+    pub(crate) fn live(&self) -> usize {
+        self.live.load(Ordering::Acquire)
+    }
+
+    /// High-water mark of live workers.
+    pub(crate) fn peak_live(&self) -> usize {
+        self.peak_live.load(Ordering::Acquire)
+    }
+
+    /// Live workers minus pending retirements — the count the pool is
+    /// converging toward.
+    pub(crate) fn target(&self) -> usize {
+        self.live
+            .load(Ordering::Acquire)
+            .saturating_sub(self.retiring.load(Ordering::Acquire))
+    }
+
+    /// Asks one worker to retire at its next poll.
+    pub(crate) fn request_retire(&self) {
+        self.retiring.fetch_add(1, Ordering::AcqRel);
+    }
+
+    /// Called by workers between items: claims a pending retirement, if any.
+    /// A `true` return means "this worker must exit now".
+    pub(crate) fn try_retire(&self) -> bool {
+        loop {
+            let pending = self.retiring.load(Ordering::Acquire);
+            if pending == 0 {
+                return false;
+            }
+            if self
+                .retiring
+                .compare_exchange(pending, pending - 1, Ordering::AcqRel, Ordering::Acquire)
+                .is_ok()
+            {
+                self.live.fetch_sub(1, Ordering::AcqRel);
+                return true;
+            }
+        }
+    }
+
+    /// Called by workers exiting for any non-retirement reason (end of
+    /// stream) so the live gauge stays truthful during drain.
+    pub(crate) fn note_exit(&self) {
+        self.live.fetch_sub(1, Ordering::AcqRel);
+    }
+
+    /// Takes every join handle accumulated so far (initial and dynamically
+    /// spawned workers alike).
+    pub(crate) fn take_handles(&self) -> Vec<JoinHandle<()>> {
+        std::mem::take(&mut *self.handles.lock().expect("governor lock"))
+    }
+}
+
+/// Everything the controller thread needs to steer one pool.
+pub(crate) struct PoolControls {
+    pub(crate) name: &'static str,
+    pub(crate) governor: Arc<PoolGovernor>,
+    /// Lower bound: the pool is never shrunk below this.
+    pub(crate) min: usize,
+    /// Upper bound: the pool is never grown above this.
+    pub(crate) max: usize,
+    /// Reads the depth of the queue feeding this pool.
+    pub(crate) queue_probe: Box<dyn Fn() -> usize + Send>,
+    /// Capacity of that queue (the base of the queue fraction).
+    pub(crate) queue_capacity: usize,
+    /// Spawns one more worker into the pool.
+    pub(crate) spawn: Box<dyn Fn() -> JoinHandle<()> + Send>,
+}
+
 /// Everything the PID controller thread needs.
 pub(crate) struct PidParams {
     pub(crate) config: CtrlConfig,
@@ -382,8 +508,10 @@ pub(crate) struct PidParams {
     /// attached (batch mode), in which case the escape hatch never fires.
     pub(crate) tail_lag_probe: Option<Box<dyn Fn() -> u64 + Send>>,
     pub(crate) events: Arc<Mutex<Vec<ScaleEvent>>>,
-    /// Invoked after any resize with the pools' new target sizes (same
-    /// contract as the watermark controller's `on_resize`).
+    /// Invoked after any resize (grow or shrink) with the pools' new target
+    /// sizes, so the service keeps its batch pools sized to the live
+    /// in-flight population — smaller after a shrink, restored after a
+    /// grow.
     pub(crate) on_resize: Box<dyn Fn(usize, usize) + Send>,
 }
 
@@ -443,7 +571,7 @@ pub(crate) fn spawn_pid_controller(params: PidParams) -> JoinHandle<()> {
                 // penalty: full lanes mean compute output has nowhere to go,
                 // so more compute workers cannot help and existing ones
                 // should retire — the "scale compute *down* on full lanes"
-                // actuation the watermark heuristic cannot express.
+                // actuation a queue-depth signal alone cannot express.
                 let fill_error = input_frac - config.setpoint;
                 // The multiplier must dominate the largest possible queue
                 // error (0.5 at a saturated work queue): 4.0 makes fully
@@ -460,27 +588,21 @@ pub(crate) fn spawn_pid_controller(params: PidParams) -> JoinHandle<()> {
 
                 let mut resized = false;
                 resized |= actuate_pool(
-                    &config,
                     &*clock,
                     &shared,
                     &fill,
                     &mut fill_pid,
                     fill_control,
                     input_depth,
-                    config.min_fill,
-                    config.max_fill,
                     &events,
                 );
                 resized |= actuate_pool(
-                    &config,
                     &*clock,
                     &shared,
                     &compute,
                     &mut compute_pid,
                     compute_control,
                     work_depth,
-                    config.min_compute,
-                    config.max_compute,
                     &events,
                 );
                 if resized {
@@ -508,22 +630,19 @@ pub(crate) fn spawn_pid_controller(params: PidParams) -> JoinHandle<()> {
         .expect("spawn pid controller")
 }
 
-/// Applies one pool's control signal. Returns `true` on a resize.
-#[allow(clippy::too_many_arguments)]
+/// Applies one pool's control signal within the pool's `[min, max]`
+/// bounds. Returns `true` on a resize.
 fn actuate_pool(
-    _config: &CtrlConfig,
     clock: &dyn ScaleClock,
     shared: &CtrlShared,
     pool: &PoolControls,
     pid: &mut PidState,
     control: f64,
     queue_depth: usize,
-    min: usize,
-    max: usize,
     events: &Arc<Mutex<Vec<ScaleEvent>>>,
 ) -> bool {
     let target = pool.governor.target();
-    if control >= ACTUATION_THRESHOLD && target < max {
+    if control >= ACTUATION_THRESHOLD && target < pool.max {
         pool.governor.adopt((pool.spawn)());
         events.lock().expect("scale events lock").push(ScaleEvent {
             at_seconds: clock.now_seconds(),
@@ -537,7 +656,7 @@ fn actuate_pool(
         pid.integral = 0.0;
         return true;
     }
-    if control <= -ACTUATION_THRESHOLD && target > min {
+    if control <= -ACTUATION_THRESHOLD && target > pool.min {
         pool.governor.request_retire();
         events.lock().expect("scale events lock").push(ScaleEvent {
             at_seconds: clock.now_seconds(),
@@ -557,8 +676,6 @@ fn actuate_pool(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scaler::{ManualClock, PoolGovernor};
-    use std::sync::atomic::AtomicUsize;
 
     struct Harness {
         clock: Arc<ManualClock>,
@@ -598,14 +715,16 @@ mod tests {
         let lag = Arc::clone(&tail_lag);
         let resize_log = Arc::clone(&resizes);
         let thread = spawn_pid_controller(PidParams {
-            config: config.with_clock(Arc::clone(&clock) as Arc<dyn ScaleClock>),
+            config: config
+                .clone()
+                .with_clock(Arc::clone(&clock) as Arc<dyn ScaleClock>),
             clock: Arc::clone(&clock) as Arc<dyn ScaleClock>,
             shared: Arc::clone(&shared),
             fill: PoolControls {
                 name: "fill",
                 governor: Arc::clone(&fill_governor),
-                min: 1,
-                max: 8,
+                min: config.min_fill,
+                max: config.max_fill,
                 queue_probe: probe(&input_depth),
                 queue_capacity: 8,
                 spawn: Box::new(|| std::thread::spawn(|| {})),
@@ -613,8 +732,8 @@ mod tests {
             compute: PoolControls {
                 name: "compute",
                 governor: Arc::clone(&compute_governor),
-                min: 1,
-                max: 8,
+                min: config.min_compute,
+                max: config.max_compute,
                 queue_probe: probe(&work_depth),
                 queue_capacity: 8,
                 spawn: Box::new(|| std::thread::spawn(|| {})),
@@ -690,7 +809,33 @@ mod tests {
         assert_eq!(h.fill_governor.target(), 1, "fill must shrink back to min");
         let report = h.shared.report();
         assert!(report.shrinks >= 2, "report {report:?}");
+        // Every resize reaches `on_resize` with the new targets — the two
+        // grows, then each shrink — so the service's batch pools follow the
+        // worker population down as well as back up after a flap.
+        assert_eq!(
+            *h.resizes.lock().unwrap(),
+            vec![(2, 1), (3, 1), (2, 1), (1, 1)],
+            "on_resize must record each grow and shrink target"
+        );
         h.finish();
+    }
+
+    #[test]
+    fn governor_retirement_bookkeeping() {
+        let governor = PoolGovernor::new();
+        governor.adopt(std::thread::spawn(|| {}));
+        governor.adopt(std::thread::spawn(|| {}));
+        assert_eq!(governor.live(), 2);
+        assert_eq!(governor.peak_live(), 2);
+        assert!(!governor.try_retire(), "no retirement requested yet");
+        governor.request_retire();
+        assert_eq!(governor.target(), 1);
+        assert!(governor.try_retire());
+        assert!(!governor.try_retire(), "request must be claimed once");
+        assert_eq!(governor.live(), 1);
+        for handle in governor.take_handles() {
+            handle.join().unwrap();
+        }
     }
 
     #[test]
@@ -704,8 +849,8 @@ mod tests {
 
         // Lanes saturate: the pump gate turns red on the next tick, and the
         // lane penalty drives the compute control negative even though the
-        // work queue is still full — the scale-down the watermark heuristic
-        // can never produce.
+        // work queue is still full — the scale-down a queue-depth signal
+        // alone can never produce.
         h.lane_depth.store(8, Ordering::Relaxed);
         let gate = PumpGate::new(Arc::clone(&h.shared));
         let mut paused_ticks = 0;

@@ -1,7 +1,7 @@
 //! The disaggregated multi-host DPP fleet: M simulated preprocessing hosts
 //! — each a complete, nearly-unchanged [`DppService`](crate::DppService)
-//! with its own fill/compute pools, batch pools, and scaler — serving N
-//! trainer lanes through a fault-tolerant control plane.
+//! with its own fill/compute pools, batch pools, and pool controller —
+//! serving N trainer lanes through a fault-tolerant control plane.
 //!
 //! ```text
 //!                 ┌ host h0: DppService (S shards, 1 lane) ─ collector ┐

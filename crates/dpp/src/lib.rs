@@ -38,12 +38,13 @@
 //!   the bounded spillover is exhausted. [`DppHandle::flush_partition`]
 //!   injects a barrier that guarantees partition boundaries are fully
 //!   delivered before it returns.
-//! * **Dynamic worker scaling** ([`DppConfig::with_scaling`]): a controller
-//!   thread samples queue-depth gauges on a [`ScaleClock`] and grows or
-//!   shrinks the fill and compute pools between configured bounds, recording
-//!   every resize as a [`ScaleEvent`]. Batch pools shrink along with the
-//!   worker population. Because routing is single-threaded and
-//!   order-restored, scaling never changes the emitted batches.
+//! * **The pool controller** ([`DppConfig::with_ctrl`]): one PID control
+//!   loop samples the DPP queues, the trainer lanes and the ETL tail lag on
+//!   a [`ScaleClock`], grows or shrinks the fill and compute pools between
+//!   the [`CtrlConfig`] bounds (recording every resize as a [`ScaleEvent`]),
+//!   and gates the ETL pump through a [`PumpGate`]. Batch pools shrink
+//!   along with the worker population. Because routing is single-threaded
+//!   and order-restored, the controller never changes the emitted batches.
 //!
 //! Under [`ShardPolicy::FileRoundRobin`] with `shards == readers`, the
 //! service's concatenated output is **identical** to the one-shot
@@ -62,13 +63,14 @@ pub mod fleet;
 pub mod metrics;
 pub mod obs;
 pub mod pool;
-pub mod scaler;
 pub mod service;
 pub mod sink;
 
 pub use channel::{bounded, Receiver, RecvTimeout, SendError, Sender};
 pub use checkpoint::DppCheckpoint;
-pub use control::{CtrlConfig, CtrlReport, CtrlShared, PumpGate};
+pub use control::{
+    CtrlConfig, CtrlReport, CtrlShared, ManualClock, PumpGate, ScaleClock, ScaleEvent, WallClock,
+};
 pub use fleet::{
     DppFleet, FleetConfig, FleetController, FleetCounters, FleetHandle, FleetOutput, FleetReport,
 };
@@ -76,7 +78,6 @@ pub use metrics::{
     DppReport, DppSnapshot, ServiceCounters, TrainerLaneReport, TrainerLaneSnapshot,
 };
 pub use pool::{BatchPool, PoolStats, Reclaim};
-pub use scaler::{ManualClock, ScaleClock, ScaleEvent, ScalerConfig, WallClock};
 pub use service::{
     DppConfig, DppError, DppHandle, DppOutput, DppService, ShardPolicy, SnapshotSource,
 };

@@ -1,8 +1,7 @@
 //! Live counters and final reports for the streaming service.
 
-use crate::control::CtrlReport;
+use crate::control::{CtrlReport, ScaleEvent};
 use crate::pool::PoolStats;
-use crate::scaler::ScaleEvent;
 use recd_reader::ReaderMetrics;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};

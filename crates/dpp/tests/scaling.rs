@@ -1,11 +1,11 @@
-//! Deterministic dynamic-scaling harness: a `SlowStore` (shared-latency
+//! Deterministic pool-controller harness: a `SlowStore` (shared-latency
 //! `TectonicSim`) injects fill pressure, and a paused `ManualClock` hands
-//! the scaling controller exactly one evaluation per step, so grow/shrink
+//! the PID pool controller exactly one evaluation per step, so grow/shrink
 //! decisions happen when the test says so — never on a wall-clock race.
 
 use recd_core::DataLoaderConfig;
 use recd_datagen::{DatasetGenerator, WorkloadConfig, WorkloadPreset};
-use recd_dpp::{DppConfig, DppService, ManualClock, ScalerConfig, ShardPolicy};
+use recd_dpp::{CtrlConfig, DppConfig, DppService, ManualClock, ShardPolicy};
 use recd_etl::cluster_by_session;
 use recd_reader::{PreprocessPipeline, ReaderConfig};
 use recd_storage::{StoredPartition, TableStore, TectonicSim};
@@ -14,8 +14,8 @@ use std::time::{Duration, Instant};
 
 /// The storage-pressure lever: a handle on the blob store's shared fetch
 /// latency. While throttled, every fill worker's decode stalls on the
-/// simulated RPC, so the input queue backs up and the controller sees
-/// sustained pressure; clearing it lets the pipeline drain.
+/// simulated RPC, so submissions back up behind the input queue and the
+/// controller sees sustained pressure; clearing it lets the pipeline drain.
 struct SlowStore {
     blob: TectonicSim,
 }
@@ -98,8 +98,8 @@ fn workers_scale_up_under_pressure_then_back_down_within_bounds() {
     let f = fixture();
     let rounds = 6;
 
-    // Fixed-pool reference first (no latency, no scaling): scaling must not
-    // change what is emitted, only how fast.
+    // Fixed-pool reference first (no latency, no controller): resizing must
+    // not change what is emitted, only how fast.
     let mut fixed = DppService::start(base_config(&f), Arc::clone(&f.store), f.schema.clone());
     for _ in 0..rounds {
         fixed.submit_partition(&f.partition);
@@ -109,12 +109,11 @@ fn workers_scale_up_under_pressure_then_back_down_within_bounds() {
     // Elastic run under a throttled store and a paused clock.
     f.slow.throttle(Duration::from_millis(2));
     let clock = Arc::new(ManualClock::new());
-    let scaling = ScalerConfig::bounds(1, 1)
+    let ctrl = CtrlConfig::bounds(1, 1)
         .with_fill_bounds(MIN_FILL, MAX_FILL)
         .with_compute_bounds(MIN_COMPUTE, MAX_COMPUTE)
-        .with_sustain_ticks(2)
         .with_clock(Arc::clone(&clock) as Arc<dyn recd_dpp::ScaleClock>);
-    let config = base_config(&f).with_scaling(scaling);
+    let config = base_config(&f).with_ctrl(ctrl);
     let mut handle = DppService::start(config, Arc::clone(&f.store), f.schema.clone());
     let source = handle.snapshot_source();
 
@@ -130,12 +129,14 @@ fn workers_scale_up_under_pressure_then_back_down_within_bounds() {
     });
 
     // Phase 1 — pressure: the single slow fill worker cannot keep up, so
-    // the input queue saturates past the high watermark (ceil(0.75 * 4) = 3).
+    // the input queue fills to the controller's submission-pacing threshold
+    // (the setpoint, 2 of 4) and the feeder is held there.
     assert!(
-        wait_until(WAIT, || source.snapshot().input_queue_depth >= 3),
-        "input queue must saturate under fill latency"
+        wait_until(WAIT, || source.snapshot().input_queue_depth >= 2),
+        "input queue must back up under fill latency"
     );
-    // Two sustained pressured samples trigger the first grow.
+    // A held feeder reads as a saturated input queue (error 0.5): the PID
+    // grows the fill pool within two samples.
     assert!(clock.step() && clock.step());
     assert!(
         wait_until(WAIT, || source.snapshot().fill_workers_live >= 2),
@@ -163,9 +164,10 @@ fn workers_scale_up_under_pressure_then_back_down_within_bounds() {
         }),
         "pipeline must drain once the latency clears"
     );
-    // Sustained idle samples walk the pool back down to min, one retirement
-    // per pair of ticks, and never below the floor.
-    for _ in 0..10 {
+    // Idle samples first unwind the integral the pressured phase built up
+    // (clamped at 5, 0.5 per tick), then walk the pool back down to min,
+    // one retirement per tick, and never below the floor.
+    for _ in 0..16 {
         assert!(clock.step());
     }
     assert!(
@@ -184,7 +186,7 @@ fn workers_scale_up_under_pressure_then_back_down_within_bounds() {
     assert_eq!(out.report.samples, rounds * f.rows);
     assert_eq!(out.batches.len(), fixed_out.batches.len());
     for (i, (elastic, fixed)) in out.batches.iter().zip(&fixed_out.batches).enumerate() {
-        assert_eq!(elastic, fixed, "batch {i} diverged under dynamic scaling");
+        assert_eq!(elastic, fixed, "batch {i} diverged under pool resizing");
     }
 
     let events = &out.report.scale_events;
@@ -222,7 +224,7 @@ fn workers_scale_up_under_pressure_then_back_down_within_bounds() {
     );
 }
 
-/// Without a scaling policy the pools stay exactly as configured and no
+/// Without a pool controller the pools stay exactly as configured and no
 /// events are recorded.
 #[test]
 fn scaling_disabled_keeps_pools_fixed() {
@@ -242,18 +244,18 @@ fn scaling_disabled_keeps_pools_fixed() {
     assert_eq!(out.report.peak_compute_workers, 2);
 }
 
-/// Initial worker counts outside the scaling bounds are clamped into them
-/// at start.
+/// Initial worker counts outside the controller bounds are clamped into
+/// them at start.
 #[test]
 fn initial_workers_are_clamped_into_scaling_bounds() {
     let f = fixture();
-    let scaling = ScalerConfig::bounds(2, 3).with_tick_period(Duration::from_secs(3600));
+    let ctrl = CtrlConfig::bounds(2, 3).with_tick_period(Duration::from_secs(3600));
     let mut handle = DppService::start(
         // Configured below min (1) and above max (8): both clamp.
         base_config(&f)
             .with_fill_workers(1)
             .with_compute_workers(8)
-            .with_scaling(scaling),
+            .with_ctrl(ctrl),
         Arc::clone(&f.store),
         f.schema.clone(),
     );

@@ -102,14 +102,16 @@ impl ManualClock {
     }
 
     /// Grants one tick and blocks until the controller has fully evaluated
-    /// it. Returns `false` if the clock was shut down before the evaluation
-    /// completed (e.g. the service finished).
+    /// it. Returns `false` if the clock was shut down before the controller
+    /// took the tick (e.g. the service finished). A tick already taken when
+    /// the clock shuts down is waited out, so the `true` returns count
+    /// exactly the evaluations that ran.
     pub fn step(&self) -> bool {
         let mut state = self.state.lock().expect("manual clock lock");
         state.granted += 1;
         let target = state.granted;
         self.cond.notify_all();
-        while state.evaluated < target && !state.shutdown {
+        while state.evaluated < target && !(state.shutdown && state.consumed < target) {
             state = self.cond.wait(state).expect("manual clock lock");
         }
         state.evaluated >= target
@@ -171,6 +173,33 @@ mod tests {
         assert_eq!(evaluated.load(Ordering::SeqCst), 2);
         clock.shutdown();
         controller.join().unwrap();
+        assert!(!clock.step(), "steps after shutdown must not hang");
+    }
+
+    #[test]
+    fn a_tick_taken_before_shutdown_still_counts() {
+        let clock = Arc::new(ManualClock::new());
+        let worker_clock = Arc::clone(&clock);
+        let (entered_tx, entered_rx) = std::sync::mpsc::channel();
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        let controller = std::thread::spawn(move || {
+            let mut evaluations = 0;
+            while worker_clock.wait_tick() {
+                evaluations += 1;
+                entered_tx.send(()).unwrap();
+                release_rx.recv().unwrap();
+            }
+            evaluations
+        });
+        let step_clock = Arc::clone(&clock);
+        let stepper = std::thread::spawn(move || step_clock.step());
+        // Shut down while the controller is mid-evaluation: the step must
+        // wait the evaluation out and report it.
+        entered_rx.recv().unwrap();
+        clock.shutdown();
+        release_tx.send(()).unwrap();
+        assert!(stepper.join().unwrap(), "a taken tick must count as a step");
+        assert_eq!(controller.join().unwrap(), 1);
         assert!(!clock.step(), "steps after shutdown must not hang");
     }
 

@@ -6,8 +6,9 @@
 //! recd-dpp [--preset tiny|small] [--sessions N] [--batch-size N]
 //!          [--fill-workers N] [--workers N] [--shards N] [--queue-depth N]
 //!          [--policy session|file|row] [--trainers N]
-//!          [--assign pinned|least|rr] [--min-workers N] [--max-workers N]
-//!          [--ctrl] [--ctrl-kp F] [--ctrl-ki F] [--ctrl-kd F]
+//!          [--assign pinned|least|rr]
+//!          [--ctrl [--min-workers N] [--max-workers N]
+//!                  [--ctrl-kp F] [--ctrl-ki F] [--ctrl-kd F]]
 //!          [--tail] [--tail-rate N] [--tail-jitter-ms N]
 //!          [--tail-late-frac F] [--tail-late-ms N] [--tail-window-ms N]
 //!          [--tail-seal-rows N] [--tail-seed N]
@@ -42,8 +43,8 @@ use recd_chaos::{ChaosReport, FaultPlan};
 use recd_core::{ConvertedBatch, DataLoaderConfig};
 use recd_datagen::{DatasetGenerator, WorkloadConfig, WorkloadPreset};
 use recd_dpp::{
-    BatchPool, CtrlConfig, DppConfig, DppFleet, DppReport, DppService, FleetConfig, ScalerConfig,
-    ShardPolicy, TrainerAssignPolicy, TrainerBatch,
+    BatchPool, CtrlConfig, DppConfig, DppFleet, DppReport, DppService, FleetConfig, ShardPolicy,
+    TrainerAssignPolicy, TrainerBatch,
 };
 use recd_etl::{cluster_by_session, EtlServiceReport, EtlStreamConfig, TableLayout};
 use recd_obs::{sample_value, MetricFamily, MetricsServer, SampleValue};
@@ -211,14 +212,14 @@ fn parse_args() -> Result<Args, String> {
                      \n  --policy session|file|row  sharding policy (default session)\
                      \n  --trainers N             fan out to N simulated trainers (default 0 = collect)\
                      \n  --assign pinned|least|rr trainer lane assignment (default pinned)\
-                     \n  --min-workers N          enable dynamic scaling: pool lower bound\
-                     \n  --max-workers N          enable dynamic scaling: pool upper bound\
                      \n  --ctrl                   close the control loop: a cross-tier PID\
                      \n                           controller samples trainer lanes, DPP queues,\
                      \n                           and ETL tail lag, resizes both worker pools,\
-                     \n                           and gates the ETL pump (replaces the watermark\
-                     \n                           scaler when both are enabled; exports the\
+                     \n                           and gates the ETL pump (exports the\
                      \n                           recd_ctrl_* metric families)\
+                     \n  --min-workers N          controller pool lower bound (default 1; requires --ctrl)\
+                     \n  --max-workers N          controller pool upper bound (default: the larger\
+                     \n                           of --fill-workers/--workers; requires --ctrl)\
                      \n  --ctrl-kp F              proportional gain (default 2.0; requires --ctrl)\
                      \n  --ctrl-ki F              integral gain (default 1.0; requires --ctrl)\
                      \n  --ctrl-kd F              derivative gain (default 0.0; requires --ctrl)\
@@ -275,6 +276,9 @@ fn parse_args() -> Result<Args, String> {
     }
     if (args.ctrl_kp.is_some() || args.ctrl_ki.is_some() || args.ctrl_kd.is_some()) && !args.ctrl {
         return Err("--ctrl-kp/--ctrl-ki/--ctrl-kd require --ctrl".to_string());
+    }
+    if (args.min_workers.is_some() || args.max_workers.is_some()) && !args.ctrl {
+        return Err("--min-workers/--max-workers require --ctrl".to_string());
     }
     if (args.chaos_seed.is_some() || args.chaos_plan.is_some()) && !args.tail {
         return Err(
@@ -519,19 +523,14 @@ fn main() {
     .with_queue_depth(args.queue_depth)
     .with_policy(args.policy)
     .with_pipeline_factory(|| PreprocessPipeline::standard(1 << 20, 64));
-    let min = args.min_workers.unwrap_or(1);
-    let max = args
-        .max_workers
-        .unwrap_or_else(|| min.max(args.fill_workers).max(args.compute_workers));
-    if args.min_workers.is_some() || args.max_workers.is_some() {
-        config = config.with_scaling(
-            ScalerConfig::bounds(min, max).with_tick_period(Duration::from_millis(20)),
-        );
-    }
-    // The closed control loop: a cross-tier PID controller replaces the
-    // watermark scaler, samples every queue tier, and (in tail mode) reads
-    // the ETL tail lag so it can veto trainer backpressure.
+    // The closed control loop: a cross-tier PID controller owns both pool
+    // sizes, samples every queue tier, and (in tail mode) reads the ETL
+    // tail lag so it can veto trainer backpressure.
     if args.ctrl {
+        let min = args.min_workers.unwrap_or(1);
+        let max = args
+            .max_workers
+            .unwrap_or_else(|| min.max(args.fill_workers).max(args.compute_workers));
         let (kp, ki, kd) = (
             args.ctrl_kp.unwrap_or(2.0),
             args.ctrl_ki.unwrap_or(1.0),
@@ -548,16 +547,6 @@ fn main() {
             ctrl.lag_high_ms
         );
         config = config.with_ctrl(ctrl);
-    }
-    if let Some(scaling) = &config.scaling {
-        println!(
-            "scaling: workers elastic in [{}, {}], watermarks {:.0}%/{:.0}%, every {:?}",
-            scaling.min_fill,
-            scaling.max_fill,
-            scaling.high_watermark * 100.0,
-            scaling.low_watermark * 100.0,
-            scaling.tick_period
-        );
     }
 
     if args.hosts > 0 {

@@ -11,8 +11,10 @@
 //! attributable to the controller leaking into the payload path.
 
 use recd_chaos::FaultPlan;
-use recd_dpp::{CtrlConfig, TrainerBatch};
+use recd_dpp::{CtrlConfig, ManualClock, ScaleClock, TrainerBatch};
 use recd_pipeline::{PipelineRunner, RecdConfig, RmPreset, RmSpec};
+use std::sync::Arc;
+use std::time::Duration;
 
 const WORKERS: usize = 2;
 const TRAINERS: usize = 3;
@@ -83,10 +85,32 @@ fn controller_off_and_on_deliver_identical_unions() {
         "controller-off runs must not grow a ctrl report"
     );
 
-    let on = runner().with_ctrl(ctrl()).run(BATCH);
+    // The controller-on run samples on a manual clock, stepped by a helper
+    // from before the service starts until it shuts the clock down, so the
+    // tick count does not depend on how long the run takes.
+    let clock = Arc::new(ManualClock::new());
+    let stepper = {
+        let clock = Arc::clone(&clock);
+        std::thread::spawn(move || {
+            let mut steps = 0u64;
+            while clock.step() {
+                steps += 1;
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            steps
+        })
+    };
+    let on = runner()
+        .with_ctrl(ctrl().with_clock(Arc::clone(&clock) as Arc<dyn ScaleClock>))
+        .run(BATCH);
+    let steps = stepper.join().expect("clock stepper");
     let on_report = on.report.continuous.as_ref().expect("continuous");
     let ctrl_report = on_report.dpp.ctrl.expect("controller-on runs report ctrl");
-    assert!(ctrl_report.ticks > 0, "the controller must have sampled");
+    assert!(ctrl_report.ticks >= 1, "the controller must have sampled");
+    assert_eq!(
+        ctrl_report.ticks, steps,
+        "the controller evaluates exactly the granted ticks"
+    );
     assert_eq!(
         on_report.dpp.samples, off_report.dpp.samples,
         "controller must not change delivered sample count"

@@ -1,6 +1,6 @@
 //! Driver errors at the two public entry points: `PipelineRunner` expects
 //! the driver's result and panics with its text, and the `recd-dpp` binary
-//! exits 2 for a plan error (and 1 for a run error).
+//! exits 2 for a plan error or a flag error (and 1 for a run error).
 
 use recd_chaos::FaultPlan;
 use recd_pipeline::{PipelineRunner, RecdConfig, RmPreset};
@@ -37,4 +37,19 @@ fn cli_exits_2_on_a_plan_error() {
     assert_eq!(out.status.code(), Some(2));
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("names a host outside"), "{stderr}");
+}
+
+#[test]
+fn cli_exits_2_on_worker_bounds_without_ctrl() {
+    let out = Command::new(env!("CARGO_BIN_EXE_recd-dpp"))
+        .args(["--preset", "tiny", "--quiet", "--min-workers", "1"])
+        .args(["--max-workers", "4"])
+        .output()
+        .expect("run recd-dpp");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("--min-workers/--max-workers require --ctrl"),
+        "{stderr}"
+    );
 }
